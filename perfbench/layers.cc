@@ -6,8 +6,9 @@
 // committed transaction is then estimated as calls per transaction x ns per
 // call, with the calls taken from the untraced run's counters or from the
 // mix's plans. Like the timed slices, each per-call cost is the cheapest of
-// several timed blocks. DropRelation is timed but left out of the estimate:
-// no counter gives its call count.
+// timed blocks spread over the run: one round of every drive follows each
+// untraced replay. DropRelation is timed but left out of the estimate: no
+// counter gives its call count.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "src/certifier/certifier.h"
 #include "src/sim/simulator.h"
 #include "src/storage/buffer_pool.h"
+#include "src/workload/tpcw.h"
 
 namespace perfbench {
 namespace {
@@ -173,10 +175,12 @@ struct KindCost {
   double ns = 0.0;
   uint64_t calls = 0;
 
-  void Add(const std::vector<CallCost>& chunks, double empty_ns) {
+  void Add(const std::vector<StorageCosts>& chunks, CallCost StorageCosts::*kind,
+           double empty_ns) {
     double best = 0.0;
     uint64_t n = 0;
-    for (const CallCost& c : chunks) {
+    for (const StorageCosts& chunk : chunks) {
+      const CallCost& c = chunk.*kind;
       if (c.calls > 0) {
         best = n == 0 ? c.PerCall(empty_ns) : std::min(best, c.PerCall(empty_ns));
         n += c.calls;
@@ -193,14 +197,13 @@ struct KindCost {
 // per-replica apply and flush rates.
 class PoolReplay {
  public:
-  PoolReplay(const Workload& w, const tashkent::ReplicaConfig& rc, const Traffic& traffic,
-             const Traffic& updates, double applies_per_exec, double flushes_per_exec,
-             uint64_t seed)
+  PoolReplay(const Workload& w, const tashkent::ReplicaConfig& rc, Traffic traffic,
+             Traffic updates, double applies_per_exec, double flushes_per_exec, uint64_t seed)
       : w_(w),
         rc_(rc),
         skew_(w.skew.value_or(rc.skew)),
-        traffic_(traffic),
-        updates_(updates),
+        traffic_(std::move(traffic)),
+        updates_(std::move(updates)),
         applies_per_exec_(applies_per_exec),
         flushes_per_exec_(flushes_per_exec),
         pool_(rc.memory - rc.reserved, rc.chunk_pages),
@@ -270,10 +273,10 @@ class PoolReplay {
   }
 
   const Workload& w_;
-  const tashkent::ReplicaConfig& rc_;
+  tashkent::ReplicaConfig rc_;
   tashkent::AccessSkew skew_;
-  const Traffic& traffic_;
-  const Traffic& updates_;
+  Traffic traffic_;
+  Traffic updates_;
   double applies_per_exec_;
   double flushes_per_exec_;
   BufferPool pool_;
@@ -281,188 +284,6 @@ class PoolReplay {
   double apply_credit_ = 0.0;
   double flush_credit_ = 0.0;
 };
-
-// Timed pool transactions per workload, split across traffic groups by
-// their mix share and timed in kReplayChunks chunks.
-constexpr size_t kReplayTxns = 20000;
-constexpr size_t kReplayChunks = 8;
-// DropRelation samples per traffic group (one relation each).
-constexpr size_t kDropSamples = 6;
-
-void DriveStorage(const WorkloadSpec& spec, tashkent::Cluster& cluster, const Observed& obs,
-                  uint64_t seed, double empty_ns, LayerCosts* out) {
-  const Workload& w = cluster.workload();
-  const std::vector<double>& mix = w.MixByName(spec.mix).weights();
-  const tashkent::ReplicaConfig rc = MakeConfig(spec, seed).replica;
-
-  const Traffic updates = MixTraffic(w, mix, true);
-  const double execs = static_cast<double>(std::max<uint64_t>(obs.txns_executed, 1));
-  const double flush_calls = static_cast<double>(kReplicas) * obs.sim_seconds /
-                             tashkent::ToSeconds(rc.flush_period);
-  const double applies_per_exec = static_cast<double>(obs.writesets_applied) / execs;
-  const double flushes_per_exec = flush_calls / execs;
-  const double execs_per_replica_s =
-      execs / (static_cast<double>(kReplicas) * std::max(obs.sim_seconds, 1.0));
-  const size_t warm_txns =
-      static_cast<size_t>(std::ceil(execs_per_replica_s * kWarmupSimSeconds)) + 1000;
-
-  KindCost scan, random, dirty, take;
-  std::vector<double> drop_us;
-  const std::vector<Traffic> groups = PoolTraffic(w, mix, cluster);
-  double mix_total = 0.0;
-  for (const Traffic& g : groups) {
-    mix_total += g.total;
-  }
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    const Traffic& g = groups[gi];
-    PoolReplay replay(w, rc, g, updates, applies_per_exec, flushes_per_exec,
-                      seed * 1000003 + gi);
-    replay.Run(warm_txns, nullptr);
-    const size_t timed = std::max<size_t>(
-        200, static_cast<size_t>(static_cast<double>(kReplayTxns) * g.total / mix_total));
-    std::vector<StorageCosts> chunks(kReplayChunks);
-    for (StorageCosts& chunk : chunks) {
-      replay.Run(timed / kReplayChunks + 1, &chunk);
-    }
-    auto kind = [&chunks](CallCost StorageCosts::*member) {
-      std::vector<CallCost> out;
-      for (const StorageCosts& chunk : chunks) {
-        out.push_back(chunk.*member);
-      }
-      return out;
-    };
-    scan.Add(kind(&StorageCosts::scan), empty_ns);
-    random.Add(kind(&StorageCosts::random), empty_ns);
-    dirty.Add(kind(&StorageCosts::dirty), empty_ns);
-    take.Add(kind(&StorageCosts::take), empty_ns);
-
-    // DropRelation walks the whole LRU: time it on the warm pool, one
-    // relation of this group's plans per sample, re-warming in between.
-    std::vector<tashkent::RelationId> rels;
-    for (TxnTypeId id : g.types) {
-      for (const auto& step : w.registry.Get(id).plan.steps) {
-        if (std::find(rels.begin(), rels.end(), step.relation) == rels.end()) {
-          rels.push_back(step.relation);
-        }
-      }
-    }
-    for (size_t i = 0; i < rels.size() && i < kDropSamples; ++i) {
-      replay.Run(200, nullptr);
-      const Clock::time_point t0 = Clock::now();
-      replay.pool().DropRelation(rels[i]);
-      drop_us.push_back((Ns(Clock::now() - t0) - empty_ns) / 1000.0);
-    }
-  }
-
-  out->touch_scan_ns = scan.PerCall();
-  out->touch_random_ns = random.PerCall();
-  out->dirty_random_ns = dirty.PerCall();
-  out->take_dirty_ns = take.PerCall();
-  out->drop_relation_us = Median(drop_us);
-
-  // Construction of one replica's pool (set-up cost); destruction untimed.
-  constexpr int kCtors = 2000;
-  std::vector<std::unique_ptr<BufferPool>> pools(kCtors);
-  const Clock::time_point t0 = Clock::now();
-  for (auto& pool : pools) {
-    pool = std::make_unique<BufferPool>(rc.memory - rc.reserved, rc.chunk_pages);
-  }
-  out->ctor_us = Ns(Clock::now() - t0) / kCtors / 1000.0;
-
-  const PlanCalls plan = CallsFromPlans(w, mix);
-  const double committed = static_cast<double>(std::max<uint64_t>(obs.committed, 1));
-  out->storage_ns_per_txn =
-      execs / committed *
-          (plan.scans * out->touch_scan_ns + plan.randoms * out->touch_random_ns +
-           plan.dirties * out->dirty_random_ns) +
-      static_cast<double>(obs.writesets_applied) / committed * plan.writes_per_writeset *
-          out->dirty_random_ns +
-      flush_calls / committed * out->take_dirty_ns;
-}
-
-// Certifies writesets shaped like the mix's update types, from every
-// replica at the observed lag behind the log head, pruning the log the way
-// the cluster's auto-pruner does; then times Pull at the same lag.
-void DriveCertifier(const WorkloadSpec& spec, tashkent::Cluster& cluster, const Observed& obs,
-                    uint64_t seed, LayerCosts* out) {
-  const Workload& w = cluster.workload();
-  const std::vector<double>& mix = w.MixByName(spec.mix).weights();
-  const Traffic updates = MixTraffic(w, mix, true);
-  const bool sequenced = MakeConfig(spec, seed).proxy.retry.enabled;
-  const auto lag = static_cast<tashkent::Version>(std::llround(obs.mean_lag));
-  tashkent::Certifier cert(MakeConfig(spec, seed).certifier);
-  // The cluster installs a prod callback, which arms the laggard scan that
-  // every Certify runs.
-  cert.SetProdCallback([](tashkent::ReplicaId) {});
-  Rng rng(seed ^ 0x5eed);
-  std::vector<uint64_t> seq(kReplicas, 1);
-
-  auto make = [&](tashkent::ReplicaId origin) {
-    tashkent::Writeset ws;
-    const TxnType& type = w.registry.Get(updates.Sample(rng));
-    ws.origin = origin;
-    ws.type = type.id;
-    ws.bytes = type.writeset_bytes;
-    for (const auto& step : type.plan.steps) {
-      if (step.write_pages <= 0) {
-        continue;
-      }
-      ws.table_pages.push_back({step.relation, step.write_pages});
-      const uint64_t keyspace =
-          std::max<uint64_t>(static_cast<uint64_t>(w.schema.Get(step.relation).pages) * 16, 1);
-      for (int i = 0; i < step.write_pages; ++i) {
-        ws.items.push_back({step.relation, rng.NextBelow(keyspace)});
-      }
-    }
-    return ws;
-  };
-  auto applied = [&]() {
-    const tashkent::Version head = cert.head_version();
-    return head > lag ? head - lag : 0;
-  };
-
-  constexpr size_t kBlock = 256;
-  constexpr size_t kBlocks = 120;
-  constexpr size_t kWarmBlocks = 20;
-  std::vector<tashkent::Writeset> block(kBlock);
-  std::vector<double> certify_ns;
-  size_t n = 0;
-  for (size_t b = 0; b < kWarmBlocks + kBlocks; ++b) {
-    for (size_t i = 0; i < kBlock; ++i) {
-      block[i] = make(static_cast<tashkent::ReplicaId>((n + i) % kReplicas));
-      block[i].snapshot_version = applied();
-    }
-    const Clock::time_point t0 = Clock::now();
-    for (size_t i = 0; i < kBlock; ++i, ++n) {
-      const tashkent::ReplicaId r = static_cast<tashkent::ReplicaId>(n % kReplicas);
-      cert.Certify(std::move(block[i]), r, applied(),
-                   sequenced ? seq[r]++ : tashkent::kNoTxnSeq);
-    }
-    if (b >= kWarmBlocks) {
-      certify_ns.push_back(Ns(Clock::now() - t0) / kBlock);
-    }
-    const tashkent::Version floor = applied();
-    if (floor > cert.log_pruned_below()) {
-      cert.PruneLogBelow(floor);
-    }
-  }
-  out->certify_ns = *std::min_element(certify_ns.begin(), certify_ns.end());
-
-  std::vector<double> pull_ns;
-  for (size_t b = 0; b < kBlocks; ++b) {
-    const Clock::time_point t0 = Clock::now();
-    for (size_t i = 0; i < kBlock; ++i) {
-      cert.Pull(static_cast<tashkent::ReplicaId>(i % kReplicas), applied());
-    }
-    pull_ns.push_back(Ns(Clock::now() - t0) / kBlock);
-  }
-  out->pull_ns = *std::min_element(pull_ns.begin(), pull_ns.end());
-
-  const double committed = static_cast<double>(std::max<uint64_t>(obs.committed, 1));
-  out->certifier_ns_per_txn = (static_cast<double>(obs.certify_calls) * out->certify_ns +
-                               static_cast<double>(obs.pulls) * out->pull_ns) /
-                              committed;
-}
 
 // Kernel cost per event: schedule + pop + dispatch of a trivial callback,
 // holding the observed number of pending events at the observed event rate.
@@ -481,71 +302,330 @@ class Ticker {
   double mean_gap_us_;
 };
 
-void DriveSimulator(const Observed& obs, uint64_t seed, LayerCosts* out) {
-  const size_t pending = std::max<size_t>(16, static_cast<size_t>(std::llround(obs.mean_pending)));
-  const double events_per_s =
-      static_cast<double>(std::max<uint64_t>(obs.events, 1)) / std::max(obs.sim_seconds, 1.0);
-  const double gap_us = static_cast<double>(pending) / events_per_s * 1e6;
-  tashkent::Simulator sim;
-  Rng rng(seed ^ 0x51a);
-  for (size_t i = 0; i < pending; ++i) {
-    Ticker(&sim, &rng, gap_us)();
-  }
-  // Each step covers about 20k events of simulated time.
-  const auto step = static_cast<tashkent::SimDuration>(20000.0 / events_per_s * 1e6) + 1;
-  std::vector<double> per_event;
-  for (int b = 0; b < 70; ++b) {
-    const uint64_t before = sim.executed_events();
-    const Clock::time_point t0 = Clock::now();
-    sim.RunUntil(sim.Now() + step);
-    const double ns = Ns(Clock::now() - t0);
-    if (b >= 10 && sim.executed_events() > before) {
-      per_event.push_back(ns / static_cast<double>(sim.executed_events() - before));
-    }
-  }
-  out->event_ns = per_event.empty() ? 0.0 : *std::min_element(per_event.begin(), per_event.end());
-  const double committed = static_cast<double>(std::max<uint64_t>(obs.committed, 1));
-  out->sim_ns_per_txn = static_cast<double>(obs.events) / committed * out->event_ns;
+// Timed work over all rounds. Pool transactions are split across traffic
+// groups by their mix share; every other drive times fixed-size blocks.
+constexpr size_t kReplayTxns = 20000;
+constexpr size_t kMinGroupTxns = 200;
+constexpr size_t kDropSamples = 6;  // per traffic group, one relation each
+constexpr size_t kCertifyBlock = 256;
+constexpr size_t kCertifyBlocks = 120;  // and as many Pull blocks
+constexpr size_t kCertifyWarmBlocks = 20;
+constexpr size_t kSimSteps = 60;  // each covers about 20k events
+constexpr size_t kSimWarmSteps = 10;
+constexpr size_t kRouteBlock = 4096;
+constexpr size_t kRouteBlocks = 50;
+constexpr size_t kPoolCtors = 2000;
+
+// A round's share of `total`, at least `at_least`.
+size_t PerRound(size_t total, size_t rounds, size_t at_least) {
+  return std::max(at_least, (total + rounds - 1) / rounds);
 }
 
-// The cluster's own balancer, routing the mix's types: one call per client
-// attempt.
-void DriveBalancer(const WorkloadSpec& spec, tashkent::Cluster& cluster, const Observed& obs,
-                   uint64_t seed, LayerCosts* out) {
-  const Workload& w = cluster.workload();
-  const std::vector<double>& mix = w.MixByName(spec.mix).weights();
-  const Traffic all = MixTraffic(w, mix, false);
-  Rng rng(seed ^ 0xba1);
-  constexpr size_t kBlock = 4096;
-  std::vector<const TxnType*> types(kBlock);
-  for (auto& t : types) {
-    t = &w.registry.Get(all.Sample(rng));
-  }
-  std::vector<double> route_ns;
-  for (int b = 0; b < 60; ++b) {
-    const Clock::time_point t0 = Clock::now();
-    for (const TxnType* t : types) {
-      cluster.balancer().Route(*t);
-    }
-    if (b >= 10) {
-      route_ns.push_back(Ns(Clock::now() - t0) / kBlock);
-    }
-  }
-  out->route_ns = *std::min_element(route_ns.begin(), route_ns.end());
-  const double committed = static_cast<double>(std::max<uint64_t>(obs.committed, 1));
-  out->balancer_ns_per_txn = static_cast<double>(obs.attempts) / committed * out->route_ns;
+double Min(const std::vector<double>& v) {
+  return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
 }
 
 }  // namespace
 
-LayerCosts MeasureLayers(const WorkloadSpec& spec, tashkent::Cluster& cluster,
-                         const Observed& observed, uint64_t seed) {
+struct LayerDrives::State {
+  State(const WorkloadSpec& spec, tashkent::Cluster& cluster, const Observed& obs, uint64_t seed,
+        size_t rounds)
+      : w(tashkent::BuildTpcw(spec.ebs)),
+        mix(w.MixByName(spec.mix).weights()),
+        obs(obs),
+        rounds(rounds),
+        rc(MakeConfig(spec, seed).replica),
+        plan(CallsFromPlans(w, mix)),
+        empty_ns(EmptySpanNs()),
+        cert(MakeConfig(spec, seed).certifier),
+        cert_sequenced(MakeConfig(spec, seed).proxy.retry.enabled),
+        cert_updates(MixTraffic(w, mix, true)),
+        cert_rng(seed ^ 0x5eed),
+        cert_seq(kReplicas, 1),
+        lag(static_cast<tashkent::Version>(std::llround(obs.mean_lag))),
+        sim_rng(seed ^ 0x51a) {
+    SetUpPools(cluster, seed);
+    SetUpCertifier();
+    SetUpSimulator();
+    const Traffic all = MixTraffic(w, mix, false);
+    Rng rng(seed ^ 0xba1);
+    for (size_t i = 0; i < kRouteBlock; ++i) {
+      route_types.push_back(all.Sample(rng));
+    }
+  }
+
+  // --- BufferPool: one pool per traffic group, warmed for the paper's 240 s.
+  struct Group {
+    std::unique_ptr<PoolReplay> replay;
+    std::vector<tashkent::RelationId> rels;  // relations of the group's plans
+    size_t chunk_txns = 0;
+    std::vector<StorageCosts> chunks;  // one per round
+  };
+
+  void SetUpPools(tashkent::Cluster& cluster, uint64_t seed) {
+    const Traffic updates = MixTraffic(w, mix, true);
+    execs = static_cast<double>(std::max<uint64_t>(obs.txns_executed, 1));
+    flush_calls =
+        static_cast<double>(kReplicas) * obs.sim_seconds / tashkent::ToSeconds(rc.flush_period);
+    const double applies_per_exec = static_cast<double>(obs.writesets_applied) / execs;
+    const double flushes_per_exec = flush_calls / execs;
+    const double execs_per_replica_s =
+        execs / (static_cast<double>(kReplicas) * std::max(obs.sim_seconds, 1.0));
+    const size_t warm_txns =
+        static_cast<size_t>(std::ceil(execs_per_replica_s * kWarmupSimSeconds)) + 1000;
+
+    const std::vector<Traffic> traffic = PoolTraffic(w, mix, cluster);
+    double mix_total = 0.0;
+    for (const Traffic& t : traffic) {
+      mix_total += t.total;
+    }
+    for (size_t gi = 0; gi < traffic.size(); ++gi) {
+      Group g;
+      for (TxnTypeId id : traffic[gi].types) {
+        for (const auto& step : w.registry.Get(id).plan.steps) {
+          if (std::find(g.rels.begin(), g.rels.end(), step.relation) == g.rels.end()) {
+            g.rels.push_back(step.relation);
+          }
+        }
+      }
+      const size_t timed = std::max<size_t>(
+          kMinGroupTxns,
+          static_cast<size_t>(static_cast<double>(kReplayTxns) * traffic[gi].total / mix_total));
+      g.chunk_txns = PerRound(timed, rounds, 1);
+      g.replay = std::make_unique<PoolReplay>(w, rc, traffic[gi], updates, applies_per_exec,
+                                              flushes_per_exec, seed * 1000003 + gi);
+      g.replay->Run(warm_txns, nullptr);
+      groups.push_back(std::move(g));
+    }
+  }
+
+  void PoolRound() {
+    for (Group& g : groups) {
+      g.chunks.emplace_back();
+      g.replay->Run(g.chunk_txns, &g.chunks.back());
+      if (round + 1 < rounds) {
+        continue;
+      }
+      // DropRelation walks the whole LRU: in the last round, time it on the
+      // warm pool, one relation of the group's plans per sample, re-warming
+      // in between.
+      for (size_t i = 0; i < g.rels.size() && i < kDropSamples; ++i) {
+        g.replay->Run(200, nullptr);
+        const Clock::time_point t0 = Clock::now();
+        g.replay->pool().DropRelation(g.rels[i]);
+        drop_us.push_back((Ns(Clock::now() - t0) - empty_ns) / 1000.0);
+      }
+    }
+    // Construction of one replica's pool (set-up cost); destruction untimed.
+    const size_t n = PerRound(kPoolCtors, rounds, 1);
+    std::vector<std::unique_ptr<BufferPool>> pools(n);
+    const Clock::time_point t0 = Clock::now();
+    for (auto& pool : pools) {
+      pool = std::make_unique<BufferPool>(rc.memory - rc.reserved, rc.chunk_pages);
+    }
+    ctor_us.push_back(Ns(Clock::now() - t0) / static_cast<double>(n) / 1000.0);
+  }
+
+  // --- Certifier: writesets shaped like the mix's update types, from every
+  // replica at the observed lag behind the log head, pruning the log the way
+  // the cluster's auto-pruner does; Pull at the same lag.
+  tashkent::Version Applied() const {
+    const tashkent::Version head = cert.head_version();
+    return head > lag ? head - lag : 0;
+  }
+
+  tashkent::Writeset MakeWriteset(tashkent::ReplicaId origin) {
+    tashkent::Writeset ws;
+    const TxnType& type = w.registry.Get(cert_updates.Sample(cert_rng));
+    ws.origin = origin;
+    ws.type = type.id;
+    ws.bytes = type.writeset_bytes;
+    for (const auto& step : type.plan.steps) {
+      if (step.write_pages <= 0) {
+        continue;
+      }
+      ws.table_pages.push_back({step.relation, step.write_pages});
+      const uint64_t keyspace =
+          std::max<uint64_t>(static_cast<uint64_t>(w.schema.Get(step.relation).pages) * 16, 1);
+      for (int i = 0; i < step.write_pages; ++i) {
+        ws.items.push_back({step.relation, cert_rng.NextBelow(keyspace)});
+      }
+    }
+    return ws;
+  }
+
+  // Certifies one block; returns its ns per call.
+  double CertifyBlock() {
+    std::vector<tashkent::Writeset> block(kCertifyBlock);
+    for (size_t i = 0; i < kCertifyBlock; ++i) {
+      block[i] = MakeWriteset(static_cast<tashkent::ReplicaId>((certified + i) % kReplicas));
+      block[i].snapshot_version = Applied();
+    }
+    const Clock::time_point t0 = Clock::now();
+    for (size_t i = 0; i < kCertifyBlock; ++i, ++certified) {
+      const auto r = static_cast<tashkent::ReplicaId>(certified % kReplicas);
+      cert.Certify(std::move(block[i]), r, Applied(),
+                   cert_sequenced ? cert_seq[r]++ : tashkent::kNoTxnSeq);
+    }
+    const double ns = Ns(Clock::now() - t0) / kCertifyBlock;
+    const tashkent::Version floor = Applied();
+    if (floor > cert.log_pruned_below()) {
+      cert.PruneLogBelow(floor);
+    }
+    return ns;
+  }
+
+  void SetUpCertifier() {
+    // The cluster installs a prod callback, which arms the laggard scan that
+    // every Certify runs.
+    cert.SetProdCallback([](tashkent::ReplicaId) {});
+    for (size_t b = 0; b < kCertifyWarmBlocks; ++b) {
+      CertifyBlock();
+    }
+  }
+
+  void CertifierRound() {
+    const size_t blocks = PerRound(kCertifyBlocks, rounds, 2);
+    for (size_t b = 0; b < blocks; ++b) {
+      certify_ns.push_back(CertifyBlock());
+    }
+    for (size_t b = 0; b < blocks; ++b) {
+      const Clock::time_point t0 = Clock::now();
+      for (size_t i = 0; i < kCertifyBlock; ++i) {
+        cert.Pull(static_cast<tashkent::ReplicaId>(i % kReplicas), Applied());
+      }
+      pull_ns.push_back(Ns(Clock::now() - t0) / kCertifyBlock);
+    }
+  }
+
+  // --- Simulator: trivial self-rescheduling callbacks.
+  void SetUpSimulator() {
+    const size_t pending =
+        std::max<size_t>(16, static_cast<size_t>(std::llround(obs.mean_pending)));
+    const double events_per_s =
+        static_cast<double>(std::max<uint64_t>(obs.events, 1)) / std::max(obs.sim_seconds, 1.0);
+    const double gap_us = static_cast<double>(pending) / events_per_s * 1e6;
+    for (size_t i = 0; i < pending; ++i) {
+      Ticker(&sim, &sim_rng, gap_us)();
+    }
+    sim_step = static_cast<tashkent::SimDuration>(20000.0 / events_per_s * 1e6) + 1;
+    for (size_t b = 0; b < kSimWarmSteps; ++b) {
+      sim.RunUntil(sim.Now() + sim_step);
+    }
+  }
+
+  void SimulatorRound() {
+    const size_t steps = PerRound(kSimSteps, rounds, 2);
+    for (size_t b = 0; b < steps; ++b) {
+      const uint64_t before = sim.executed_events();
+      const Clock::time_point t0 = Clock::now();
+      sim.RunUntil(sim.Now() + sim_step);
+      const double ns = Ns(Clock::now() - t0);
+      if (sim.executed_events() > before) {
+        event_ns.push_back(ns / static_cast<double>(sim.executed_events() - before));
+      }
+    }
+  }
+
+  // --- Balancer: the cluster's own, routing the mix's types.
+  void BalancerRound(tashkent::Cluster& cluster) {
+    std::vector<const TxnType*> types;
+    for (TxnTypeId id : route_types) {
+      types.push_back(&cluster.workload().registry.Get(id));
+    }
+    const size_t blocks = PerRound(kRouteBlocks, rounds, 2);
+    for (size_t b = 0; b <= blocks; ++b) {  // the first block warms up
+      const Clock::time_point t0 = Clock::now();
+      for (const TxnType* t : types) {
+        cluster.balancer().Route(*t);
+      }
+      if (b > 0) {
+        route_ns.push_back(Ns(Clock::now() - t0) / kRouteBlock);
+      }
+    }
+  }
+
+  const Workload w;
+  const std::vector<double> mix;
+  const Observed obs;
+  const size_t rounds;
+  const tashkent::ReplicaConfig rc;
+  const PlanCalls plan;
+  const double empty_ns;
+  size_t round = 0;
+
+  std::vector<Group> groups;
+  double execs = 0.0;
+  double flush_calls = 0.0;
+  std::vector<double> drop_us, ctor_us;
+
+  tashkent::Certifier cert;
+  const bool cert_sequenced;
+  const Traffic cert_updates;
+  Rng cert_rng;
+  std::vector<uint64_t> cert_seq;
+  const tashkent::Version lag;
+  size_t certified = 0;
+  std::vector<double> certify_ns, pull_ns;
+
+  tashkent::Simulator sim;
+  Rng sim_rng;
+  tashkent::SimDuration sim_step = 0;
+  std::vector<double> event_ns;
+
+  std::vector<TxnTypeId> route_types;
+  std::vector<double> route_ns;
+};
+
+LayerDrives::LayerDrives(const WorkloadSpec& spec, tashkent::Cluster& cluster,
+                         const Observed& observed, uint64_t seed, size_t rounds)
+    : s_(std::make_unique<State>(spec, cluster, observed, seed, std::max<size_t>(rounds, 1))) {}
+
+LayerDrives::~LayerDrives() = default;
+
+void LayerDrives::Round(tashkent::Cluster& cluster) {
+  s_->PoolRound();
+  s_->CertifierRound();
+  s_->SimulatorRound();
+  s_->BalancerRound(cluster);
+  ++s_->round;
+}
+
+LayerCosts LayerDrives::Costs() const {
+  const State& s = *s_;
   LayerCosts out;
-  const double empty_ns = EmptySpanNs();
-  DriveStorage(spec, cluster, observed, seed, empty_ns, &out);
-  DriveCertifier(spec, cluster, observed, seed, &out);
-  DriveSimulator(observed, seed, &out);
-  DriveBalancer(spec, cluster, observed, seed, &out);
+  KindCost scan, random, dirty, take;
+  for (const State::Group& g : s.groups) {
+    scan.Add(g.chunks, &StorageCosts::scan, s.empty_ns);
+    random.Add(g.chunks, &StorageCosts::random, s.empty_ns);
+    dirty.Add(g.chunks, &StorageCosts::dirty, s.empty_ns);
+    take.Add(g.chunks, &StorageCosts::take, s.empty_ns);
+  }
+  out.touch_scan_ns = scan.PerCall();
+  out.touch_random_ns = random.PerCall();
+  out.dirty_random_ns = dirty.PerCall();
+  out.take_dirty_ns = take.PerCall();
+  out.drop_relation_us = Median(s.drop_us);
+  out.ctor_us = Min(s.ctor_us);
+  out.certify_ns = Min(s.certify_ns);
+  out.pull_ns = Min(s.pull_ns);
+  out.event_ns = Min(s.event_ns);
+  out.route_ns = Min(s.route_ns);
+
+  const Observed& obs = s.obs;
+  const double committed = static_cast<double>(std::max<uint64_t>(obs.committed, 1));
+  out.storage_ns_per_txn =
+      s.execs / committed *
+          (s.plan.scans * out.touch_scan_ns + s.plan.randoms * out.touch_random_ns +
+           s.plan.dirties * out.dirty_random_ns) +
+      static_cast<double>(obs.writesets_applied) / committed * s.plan.writes_per_writeset *
+          out.dirty_random_ns +
+      s.flush_calls / committed * out.take_dirty_ns;
+  out.certifier_ns_per_txn = (static_cast<double>(obs.certify_calls) * out.certify_ns +
+                              static_cast<double>(obs.pulls) * out.pull_ns) /
+                             committed;
+  out.sim_ns_per_txn = static_cast<double>(obs.events) / committed * out.event_ns;
+  out.balancer_ns_per_txn = static_cast<double>(obs.attempts) / committed * out.route_ns;
   return out;
 }
 

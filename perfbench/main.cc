@@ -1,8 +1,7 @@
 // Host-performance benchmark of the Tashkent+ simulator.
 //
 //   perfbench --workload <scan-evict|cache-fit|write-churn> --seed N
-//             --seconds S --trace 0|1 [--slices N] [--replays N]
-//             [--trace-file PATH]
+//             --seconds S --trace 0|1 [--trace-file PATH]
 //
 // A run replays one deterministic timed phase several times. Each replay
 // builds the workload, constructs a Cluster and warms it up (set-up), then
@@ -11,11 +10,12 @@
 // (the digest must repeat), so each slice's host time is taken as the best
 // of its replays: shared hosts alternate between fast and contended phases
 // lasting seconds or longer, and the best of many short replays spread over
-// the run filters out the phases shorter than the run. --trace 0 prints the end-to-end metrics; --trace 1 adds one
-// replay with spans recorded around every call, drives each layer standalone
-// and prints the per-layer metrics. The last line of stdout is one JSON
-// object. The exit code is non-zero when a slice fails the gate or two
-// replays disagree.
+// the run filters out the phases shorter than the run. --trace 0 prints the
+// end-to-end metrics. --trace 1 also drives each layer standalone, one round
+// after each replay, then adds one replay with spans recorded around every
+// call, and prints the per-layer metrics. The last line of stdout is one
+// JSON object. The exit code is non-zero when a slice fails the gate, two
+// replays disagree or the standalone drives over-attribute.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -40,8 +40,6 @@ struct Options {
   uint64_t seed = 1;
   int seconds = 10;
   bool trace = false;
-  size_t slices = kSlicesPerPhase;
-  size_t replays = 0;  // 0: as many as fill --seconds, at least kMinReplays
   std::string trace_file;
 };
 
@@ -64,10 +62,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       opt->seconds = static_cast<int>(n);
     } else if (key == "--trace" && n <= 1) {
       opt->trace = n == 1;
-    } else if (key == "--slices" && n >= 1 && n <= 100000) {
-      opt->slices = static_cast<size_t>(n);
-    } else if (key == "--replays" && n >= 1 && n <= 100) {
-      opt->replays = static_cast<size_t>(n);
     } else {
       return false;
     }
@@ -84,6 +78,10 @@ double Quantile(std::vector<double> v, double q) {
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, v.size() - 1);
   return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+double Min(const std::vector<double>& v) {
+  return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
 }
 
 // --- Spans -----------------------------------------------------------------
@@ -421,7 +419,7 @@ std::vector<Metric> EndToEnd(const Phase& p, const BestOf& best,
       {"sim_txn_per_host_s", static_cast<double>(p.obs.committed) / best.total_s, "txn/s"},
       {"slice_us_per_txn_p50", Quantile(best.us_per_txn, 0.5), "us"},
       {"slice_us_per_txn_p90", Quantile(best.us_per_txn, 0.9), "us"},
-      {"setup_s", Quantile(setup_s, 0.5), "s"},
+      {"setup_s", Min(setup_s), "s"},
       {"peak_rss_mb", peak_rss_mb, "MiB"},
   };
 }
@@ -488,9 +486,9 @@ std::vector<Metric> PerLayer(const std::vector<Phase>& replays, const BestOf& be
       {"balancer.route_ns", c.route_ns, "ns"},
       {"balancer.realloc_moves", static_cast<double>(p.realloc_moves), "count"},
       {"balancer.share", balancer, "frac"},
-      {"workload.build_ms", Quantile(setup.build_s, 0.5) * 1e3, "ms"},
-      {"cluster.ctor_ms", Quantile(setup.ctor_s, 0.5) * 1e3, "ms"},
-      {"cluster.warmup_s", Quantile(setup.warmup_s, 0.5), "s"},
+      {"workload.build_ms", Min(setup.build_s) * 1e3, "ms"},
+      {"cluster.ctor_ms", Min(setup.ctor_s) * 1e3, "ms"},
+      {"cluster.warmup_s", Min(setup.warmup_s), "s"},
       {"cluster.response_samples", static_cast<double>(p.max_slice_samples), "count"},
       {"cluster.verb_ms",
        traced.verb_s.empty() ? 0.0 : verb_s * 1e3 / static_cast<double>(traced.verb_s.size()),
@@ -501,8 +499,6 @@ std::vector<Metric> PerLayer(const std::vector<Phase>& replays, const BestOf& be
       {"cluster.write_kb_per_txn", p.write_kb / static_cast<double>(p.obs.committed), "KiB"},
       {"cluster.abort_ratio", Ratio(p.aborted, p.obs.attempts), "frac"},
       {"cluster.availability", 1.0 - Ratio(p.rejected, p.obs.attempts), "frac"},
-      // The digest's top 52 bits: exact in a JSON number.
-      {"cluster.sim_digest", static_cast<double>(p.digest >> 12), "digest"},
       {"trace.overhead_frac", traced.wall_s / UntracedWall(replays) - 1.0, "frac"},
       {"trace.unattributed_frac", 1.0 - storage - certifier - sim - balancer, "frac"},
   };
@@ -520,17 +516,16 @@ void PrintResult(bool correct, size_t attempted, size_t failed, const std::vecto
 
 int Run(const Options& opt) {
   const WorkloadSpec& spec = *FindWorkload(opt.workload);
-  const size_t slices = opt.slices;
+  const size_t slices = kSlicesPerPhase;
   const size_t replays =
-      opt.replays > 0
-          ? opt.replays
-          : std::max(kMinReplays, static_cast<size_t>(opt.seconds) * kSlicesPerHostSecond / slices);
+      std::max(kMinReplays, static_cast<size_t>(opt.seconds) * spec.slices_per_host_second / slices);
 
   // Set-up is deterministic too: every replay's set-up is one sample.
   SetupSamples setup;
   std::vector<Phase> runs;
   Instance inst;
   double peak_rss_mb = 0.0;
+  std::unique_ptr<LayerDrives> drives;
   for (size_t rep = 0; rep < replays; ++rep) {
     SetUp(spec, opt.seed, nullptr, &inst);
     setup.Add(inst);
@@ -538,6 +533,13 @@ int Run(const Options& opt) {
     if (rep == 0) {
       // One cluster's life; later replays would add allocator fragmentation.
       peak_rss_mb = PeakRssMb();
+      if (opt.trace) {
+        drives = std::make_unique<LayerDrives>(spec, *inst.cluster, runs.front().obs, opt.seed,
+                                               replays);
+      }
+    }
+    if (drives != nullptr) {
+      drives->Round(*inst.cluster);
     }
   }
   const Phase& base = runs.front();
@@ -576,8 +578,18 @@ int Run(const Options& opt) {
     std::printf("traced cluster.sim_digest %016" PRIx64 "%s\n", traced.digest,
                 traced.digest == base.digest ? "" : " (differs from the untraced run)");
     correct = correct && traced.failed == 0 && traced.digest == base.digest;
-    const LayerCosts costs = MeasureLayers(spec, *inst.cluster, base.obs, opt.seed);
+    const LayerCosts costs = drives->Costs();
     metrics = PerLayer(runs, best, traced, setup, costs);
+    // The standalone drives must not attribute more than the measured time:
+    // a share outside [0, 1] or a negative residual fails the run.
+    for (const Metric& m : metrics) {
+      const bool share = m.name.size() > 6 && m.name.compare(m.name.size() - 6, 6, ".share") == 0;
+      if ((share && !(m.value >= 0.0 && m.value <= 1.0)) ||
+          (m.name == "trace.unattributed_frac" && !(m.value >= 0.0))) {
+        std::printf("over-attribution: %s %.4f\n", m.name.c_str(), m.value);
+        correct = false;
+      }
+    }
     std::printf("layer self time per txn (ns): storage %.0f certifier %.0f sim %.0f "
                 "balancer %.0f of %.0f measured; storage.drop_relation calls: not observed\n",
                 costs.storage_ns_per_txn, costs.certifier_ns_per_txn, costs.sim_ns_per_txn,
@@ -617,7 +629,7 @@ int main(int argc, char** argv) {
   if (!perfbench::ParseArgs(argc, argv, &opt)) {
     std::fprintf(stderr,
                  "usage: perfbench --workload <scan-evict|cache-fit|write-churn> --seed N "
-                 "--seconds S --trace 0|1 [--slices N] [--replays N] [--trace-file PATH]\n");
+                 "--seconds S --trace 0|1 [--trace-file PATH]\n");
     return 2;
   }
   return perfbench::Run(opt);

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,12 @@ struct WorkloadSpec {
   std::string policy;
   Bytes ram = 0;
   int clients_per_replica = 0;
-  // Simulated length of one timed slice; sized so a slice costs roughly
-  // 1/kSlicesPerHostSecond of host time on a shared 4-core x86 host.
+  // Simulated length of one timed slice, sized so that a slice costs about
+  // 1/slices_per_host_second of host time on a shared 4-core x86 host. A run
+  // makes as many replays as fill --seconds at that rate, so shorter slices
+  // give shorter and more numerous replays.
   SimDuration slice = 0;
+  size_t slices_per_host_second = 120;
   bool update_filtering = false;
   // Light message faults with the retry protocol armed, plus the churn
   // schedule of ChurnVerbs.
@@ -42,7 +46,6 @@ struct WorkloadSpec {
 };
 
 inline constexpr size_t kReplicas = 16;
-inline constexpr size_t kSlicesPerHostSecond = 120;
 // At least 100 slices, so at least ten lie beyond the p90.
 inline constexpr size_t kSlicesPerPhase = 120;
 inline constexpr size_t kMinReplays = 3;
@@ -104,11 +107,30 @@ struct LayerCosts {
   double balancer_ns_per_txn = 0.0;
 };
 
-// Drives BufferPool, Certifier and Simulator standalone, and the cluster's
-// own balancer Route. Call after the cluster's timed phase: Route mutates
-// balancer state.
-LayerCosts MeasureLayers(const WorkloadSpec& spec, tashkent::Cluster& cluster,
-                         const Observed& observed, uint64_t seed);
+// Drives BufferPool, Certifier and Simulator standalone, and a cluster's
+// own balancer Route, in rounds. The run times one round after each untraced
+// replay, so each per-call cost, like each slice, is the best of samples
+// spread over the whole run and sees the same host periods.
+class LayerDrives {
+ public:
+  // Builds and warms the drives from the untraced phase's observations;
+  // `cluster` gives the MALB groups.
+  LayerDrives(const WorkloadSpec& spec, tashkent::Cluster& cluster, const Observed& observed,
+              uint64_t seed, size_t rounds);
+  ~LayerDrives();
+  LayerDrives(const LayerDrives&) = delete;
+  LayerDrives& operator=(const LayerDrives&) = delete;
+
+  // Times one round. `cluster` has finished its timed phase: Route mutates
+  // balancer state.
+  void Round(tashkent::Cluster& cluster);
+  // The best per-call costs over the rounds, and the self-time estimates.
+  LayerCosts Costs() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> s_;
+};
 
 }  // namespace perfbench
 

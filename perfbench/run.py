@@ -12,10 +12,10 @@ program in this directory) into .bench_build/, runs it and passes its output
 through: the last line of stdout is the result object. --trace 1 also writes
 the run's spans to .bench_build/trace-<workload>-<seed>.json.
 
---self-check runs every workload for a few slices and checks the result
-object against BENCHMARK.json (metric names and units), that the traced and
-untraced runs print the same simulation digest, that the same seed repeats
-it and that another seed changes it.
+--self-check runs every workload at --seconds 1 (3 replays) and checks the
+result object against BENCHMARK.json (metric names and units), that the
+traced and untraced runs print the same simulation digest, that the same seed
+repeats it and that another seed changes it.
 """
 
 import json
@@ -66,7 +66,7 @@ def self_check():
         digests = {}
         for seed, trace in ((1, 0), (1, 1), (2, 0)):
             args = ["--workload", workload, "--seed", str(seed), "--seconds", "1",
-                    "--trace", str(trace), "--slices", "12", "--replays", "2"]
+                    "--trace", str(trace)]
             code, out = run(args)
             where = "%s seed %d trace %d" % (workload, seed, trace)
             try:
