@@ -30,8 +30,9 @@ fi
 
 # --- python tool tests -------------------------------------------------------
 # The python tools are themselves gates; their behavior is pinned by tests:
-# perf_diff.py's ratio math and --fail-cell-below normalization, and the
-# determinism lint's rule set.
+# perf_diff.py's ratio math and --fail-cell-below normalization, the
+# determinism lint's rule set, and a passing and a failing fixture for each
+# campaign-output gate in scripts/gates.py.
 if command -v python3 > /dev/null 2>&1; then
   python3 tests/perf_diff_test.py \
     || { echo "ci: perf_diff tool tests failed" >&2; exit 1; }
@@ -39,6 +40,8 @@ if command -v python3 > /dev/null 2>&1; then
     || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
   python3 tests/perf_trajectory_test.py \
     || { echo "ci: perf_trajectory tool tests failed" >&2; exit 1; }
+  python3 tests/gates_test.py \
+    || { echo "ci: campaign-output gate tests failed" >&2; exit 1; }
 fi
 
 # --- smoke + perf + marathon + skew + faults campaigns -----------------------
@@ -73,15 +76,8 @@ fi
 grep -q '"bounded log chunks hwm epoch5"' build/bench-out/BENCH_marathon.json || {
   echo "ci: marathon report is missing the bounded log HWM scalar" >&2; exit 1; }
 if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: marathon bounded-log gate failed" >&2; exit 1; }
-import json, sys
-s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
-b1, b5 = s['bounded log chunks hwm epoch1'], s['bounded log chunks hwm epoch5']
-l1, l5 = s['legacy log chunks hwm epoch1'], s['legacy log chunks hwm epoch5']
-print(f"marathon gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
-ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
-sys.exit(0 if ok else 1)
-EOF
+  python3 scripts/gates.py marathon build/bench-out/BENCH_marathon.json \
+    || { echo "ci: marathon bounded-log gate failed" >&2; exit 1; }
 fi
 
 # --- skew inert-pair byte gate -----------------------------------------------
@@ -93,23 +89,8 @@ fi
 # the emitted JSON byte-for-byte (modulo the label) so a silently-softened
 # in-bench comparison can't pass CI.
 if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: skew inert-pair byte gate failed" >&2; exit 1; }
-import json, sys
-doc = json.load(open('build/bench-out/BENCH_skew.json'))
-runs = {}
-for r in doc['runs']:
-    if r['label'].startswith('inert armed'):
-        runs['armed'] = dict(r)
-    elif r['label'].startswith('inert plain'):
-        runs['plain'] = dict(r)
-if set(runs) != {'armed', 'plain'}:
-    sys.exit("inert pair runs not found in BENCH_skew.json")
-runs['armed'].pop('label'); runs['plain'].pop('label')
-a = json.dumps(runs['armed'], sort_keys=True)
-p = json.dumps(runs['plain'], sort_keys=True)
-print(f"skew inert gate: armed == plain ({len(a)} bytes compared)")
-sys.exit(0 if a == p else 1)
-EOF
+  python3 scripts/gates.py inert-pair build/bench-out/BENCH_skew.json \
+    || { echo "ci: skew inert-pair byte gate failed" >&2; exit 1; }
 fi
 
 # --- faults zero-loss + inert-pair gates -------------------------------------
@@ -120,49 +101,10 @@ fi
 # bound, every per-cell "invariant ok" scalar is 1, and the armed-vs-plain
 # inert pair is byte-identical (modulo label) including executed events.
 if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: faults zero-loss gate failed" >&2; exit 1; }
-import json, sys
-doc = json.load(open('build/bench-out/BENCH_faults.json'))
-s = doc['scalars']
-cells = sorted(k[:-len(' invariant ok')] for k in s if k.endswith(' invariant ok'))
-if not cells:
-    sys.exit("no '<cell> invariant ok' scalars in BENCH_faults.json")
-bad = []
-for c in cells:
-    if s[c + ' invariant ok'] != 1:
-        bad.append(f"{c}: invariant scalar != 1")
-        continue
-    committed = s[c + ' lifetime committed']
-    certified = s[c + ' lifetime certified']
-    bound = s[c + ' inflight bound']
-    if not (committed <= certified <= committed + bound):
-        bad.append(f"{c}: ledger violated ({committed} / {certified} / bound {bound})")
-if s.get('inert pair identical') != 1:
-    bad.append("inert pair identical scalar != 1")
-if s.get('armed executed events') != s.get('plain executed events'):
-    bad.append("inert pair executed-event counts differ")
-for b in bad:
-    print(f"faults gate: {b}", file=sys.stderr)
-print(f"faults gate: zero-loss ledger holds on {len(cells)} cells")
-sys.exit(1 if bad else 0)
-EOF
-  python3 - <<'EOF' || { echo "ci: faults inert-pair byte gate failed" >&2; exit 1; }
-import json, sys
-doc = json.load(open('build/bench-out/BENCH_faults.json'))
-runs = {}
-for r in doc['runs']:
-    if r['label'].startswith('inert armed'):
-        runs['armed'] = dict(r)
-    elif r['label'].startswith('inert plain'):
-        runs['plain'] = dict(r)
-if set(runs) != {'armed', 'plain'}:
-    sys.exit("inert pair runs not found in BENCH_faults.json")
-runs['armed'].pop('label'); runs['plain'].pop('label')
-a = json.dumps(runs['armed'], sort_keys=True)
-p = json.dumps(runs['plain'], sort_keys=True)
-print(f"faults inert gate: armed == plain ({len(a)} bytes compared)")
-sys.exit(0 if a == p else 1)
-EOF
+  python3 scripts/gates.py faults-ledger build/bench-out/BENCH_faults.json \
+    || { echo "ci: faults zero-loss gate failed" >&2; exit 1; }
+  python3 scripts/gates.py inert-pair build/bench-out/BENCH_faults.json \
+    || { echo "ci: faults inert-pair byte gate failed" >&2; exit 1; }
 fi
 
 # --- perf trajectory report + storm-cell gate --------------------------------

@@ -42,20 +42,14 @@ struct CertifierConfig {
   uint64_t prod_threshold = 25;
   // Idle proxies pull updates at this period.
   SimDuration pull_period = Millis(500);
-  // Group-commit event batching: certification/pull arrivals landing on the
-  // same simulated tick share one simulator event (see channel.h). Verdicts,
-  // commit order, and timing are identical either way — the golden digest
-  // pins it — so this is on by default; the flag exists for differential
-  // testing and A/B event accounting.
-  bool group_commit_batching = true;
   // Per-replica dedup ring size (power of two). Must exceed the deepest
   // retry/duplicate pile-up a proxy can have outstanding — with the default
   // gatekeeper bound of 8 in-flight writes, 128 leaves a wide margin.
   uint32_t dedup_window = 128;
 };
 
-// Sentinel txn_seq for callers that predate the retry protocol: no dedup
-// lookup or record happens, preserving the pre-fault Certify behavior.
+// Sentinel txn_seq for callers without the retry protocol (unarmed proxies):
+// no dedup lookup or record happens, and nothing ships to the standby.
 inline constexpr uint64_t kNoTxnSeq = UINT64_MAX;
 
 struct CertifyResult {

@@ -21,10 +21,10 @@
 // that collides with a certification arrival tick this way (arrivals land
 // RTT after their submission tick; a foreign event would need the exact
 // same microsecond), and the full 179-cell grid is byte-identical with
-// batching on vs off — but the property is empirical, not structural,
-// which is one reason group_commit_batching stays a flag: if a future
-// scenario breaks the golden digest with batching on, flip it off and
-// compare.
+// batching on vs off — but the property is empirical, not structural.
+// Clusters and standalone proxies always batch; the unbatched mode stays
+// reachable through the constructor as the reference that
+// tests/certifier_test.cc's differentials compare batching against.
 //
 // Re-entrancy: an arrival handler may submit again (a recovery pull chases
 // the log head with zero think time). If the new arrival lands on the tick
@@ -97,9 +97,8 @@ struct ChannelFaultStats {
 
 class CertifierChannel {
  public:
-  // Arrival handler; captures {proxy, pending-slot} — see Proxy. The
-  // fault-aware proxy packs {proxy, txn_seq, slot, generation} into the same
-  // 24 bytes.
+  // Arrival handler; the proxy packs {proxy, txn_seq, slot, generation} into
+  // its 24 bytes — see Proxy.
   using Arrival = InlineCallback<void(), 24>;
 
   // ScheduleArrival sender id for messages that opt out of partition
@@ -123,7 +122,8 @@ class CertifierChannel {
   // armed() leaves the channel in the byte-inert pre-fault mode.
   void ArmFaults(FaultPlan plan, Rng rng);
   // Adds one partition window (arming the channel if needed). No draws are
-  // ever spent on partitions, so this is usable on any cluster mid-run.
+  // ever spent on partitions, so this is usable mid-run (Cluster's
+  // PartitionProxy additionally requires retry-armed proxies).
   void AddPartition(uint32_t sender, SimTime from, SimTime to);
   bool faults_armed() const { return faulty_; }
   const ChannelFaultStats& fault_stats() const { return fault_stats_; }

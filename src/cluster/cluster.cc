@@ -20,7 +20,7 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
       policy_name_(std::move(policy)),
       config_(config),
       certifier_(config.certifier),
-      certifier_channel_(&sim_, config.certifier.group_commit_batching),
+      certifier_channel_(&sim_, /*batch_arrivals=*/true),
       timeline_(config.timeline_bucket) {
   Rng root(config_.seed);
 
@@ -195,7 +195,17 @@ size_t Cluster::AddReplica(Bytes memory) {
   return proxies_.size() - 1;
 }
 
+void Cluster::RequireRetry(const char* verb) const {
+  if (!config_.proxy.retry.enabled) {
+    // Unarmed proxies schedule no timeouts: a request lost to a crashed
+    // certifier or a partition window would strand its transaction forever.
+    throw std::logic_error(std::string("Cluster::") + verb +
+                           " requires config.proxy.retry.enabled");
+  }
+}
+
 void Cluster::CrashCertifier() {
+  RequireRetry("CrashCertifier");
   if (!certifier_.serving()) {
     return;
   }
@@ -216,6 +226,7 @@ void Cluster::FailoverCertifier() {
 }
 
 void Cluster::PartitionProxy(size_t index, SimDuration duration) {
+  RequireRetry("PartitionProxy");
   (void)proxies_.at(index);  // bounds check; the window keys on the replica id
   certifier_channel_.AddPartition(static_cast<uint32_t>(index), sim_.Now(),
                                   sim_.Now() + duration);

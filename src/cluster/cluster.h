@@ -229,6 +229,8 @@ class Cluster {
   // Fail-stop the certifier primary: requests go unanswered (sender timeouts
   // drive retries), reads keep serving locally, writes queue behind the
   // gatekeeper bound until FailoverCertifier promotes the warm standby.
+  // CrashCertifier and PartitionProxy throw std::logic_error unless
+  // config.proxy.retry.enabled: only armed proxies time out and resend.
   void CrashCertifier();
   // Promote the warm standby (works as a planned handover while the primary
   // still serves): bumps the epoch so stale requests are fenced, and starts
@@ -237,10 +239,6 @@ class Cluster {
   // Drop every message from replica `index`'s proxy for `duration` from now
   // (a one-way link partition; responses to earlier requests still arrive).
   void PartitionProxy(size_t index, SimDuration duration);
-
-  // Deprecated aliases (pre-churn verb names).
-  void CrashReplica(size_t index) { KillReplica(index); }
-  void RestartReplica(size_t index) { RecoverReplica(index); }
 
   // Resets measurement counters and measures one window.
   ExperimentResult Measure(SimDuration measure);
@@ -275,6 +273,8 @@ class Cluster {
   // One prune tick: sample log-memory HWMs, then prune below the safe floor.
   void AutoPrune();
   void SampleLogHwm();
+  // Throws std::logic_error naming `verb` unless the retry protocol is armed.
+  void RequireRetry(const char* verb) const;
 
   const Workload* workload_;
   std::string mix_name_;

@@ -3,11 +3,8 @@
 // The modern surface is string-named policies (PolicyRegistry) plus
 // ScenarioBuilder phases; RunExperiment(workload, mix, policy, ...) is the
 // one-shot warmup+measure convenience, implemented as a two-phase scenario.
-// RunComparison-style bar charts are a loop over policy names.
-//
-// The Policy enum below is a DEPRECATED compatibility shim for pre-registry
-// callers; new code should pass registry names ("RoundRobin",
-// "LeastConnections", "LARD", "MALB-S", "MALB-SC", "MALB-SCAP") directly.
+// RunComparison-style bar charts are a loop over policy names ("RoundRobin",
+// "LeastConnections", "LARD", "MALB-S", "MALB-SC", "MALB-SCAP").
 #ifndef SRC_CLUSTER_EXPERIMENT_H_
 #define SRC_CLUSTER_EXPERIMENT_H_
 
@@ -43,37 +40,6 @@ int CalibratedClients(const Workload& workload, const std::string& mix,
 
 // Builds the standard replica config for a given RAM size.
 ClusterConfig MakeClusterConfig(Bytes ram, size_t replicas = 16, uint64_t seed = 42);
-
-// --- Deprecated compatibility shim ------------------------------------------
-// Pre-registry policy selector. Kept only so old call sites keep compiling;
-// it maps 1:1 onto registry names and will be removed once nothing uses it.
-enum class Policy {
-  kRoundRobin,
-  kLeastConnections,
-  kLard,
-  kMalbS,
-  kMalbSC,
-  kMalbSCAP,
-};
-
-// Deprecated: returns the PolicyRegistry name for an enum value.
-const char* PolicyName(Policy p);
-
-// Deprecated: enum-based spec; prefer RunExperiment(workload, mix, policy)
-// or ScenarioBuilder. `workload` must be non-null (asserted at Run).
-struct ExperimentSpec {
-  const Workload* workload = nullptr;
-  std::string mix;
-  Policy policy = Policy::kLeastConnections;
-  ClusterConfig config;
-  // 0 = calibrate per the paper's 85%-of-standalone-peak methodology.
-  int clients_per_replica = 0;
-  SimDuration warmup = Seconds(240.0);
-  SimDuration measure = Seconds(240.0);
-};
-
-// Deprecated: forwards to the string-policy RunExperiment.
-ExperimentResult RunExperiment(const ExperimentSpec& spec);
 
 }  // namespace tashkent
 

@@ -36,8 +36,7 @@
 //   * KillReplica(i) / RecoverReplica(i) / AddReplica(mem) /
 //     ResizeMemory(i, mem) — the ClusterMutator churn verbs
 //     (src/cluster/mutator.h), applied at the current instant. Zero
-//     duration. CrashReplica/RestartReplica are deprecated aliases for
-//     Kill/Recover.
+//     duration.
 //   * KillReplicaAt(d, i) and the other *At forms — schedule the verb as a
 //     simulator event `d` after the instant this phase executes, then move
 //     on immediately: `.KillReplicaAt(Seconds(120), 3).Measure(Seconds(600),
@@ -154,10 +153,6 @@ class ScenarioBuilder {
   ScenarioBuilder& FailoverAt(SimDuration delay);
   ScenarioBuilder& PartitionProxy(size_t index, SimDuration duration);
   ScenarioBuilder& PartitionAt(SimDuration delay, size_t index, SimDuration duration);
-
-  // Deprecated aliases (pre-churn verb names).
-  ScenarioBuilder& CrashReplica(size_t index) { return KillReplica(index); }
-  ScenarioBuilder& RestartReplica(size_t index) { return RecoverReplica(index); }
 
   const std::vector<ScenarioPhase>& phases() const { return phases_; }
 

@@ -28,8 +28,7 @@ Proxy::Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig
       config_(config),
       gatekeeper_(config.max_in_flight),
       owned_channel_(channel == nullptr
-                         ? std::make_unique<CertifierChannel>(
-                               sim, certifier->config().group_commit_batching)
+                         ? std::make_unique<CertifierChannel>(sim, /*batch_arrivals=*/true)
                          : nullptr),
       channel_(channel == nullptr ? owned_channel_.get() : channel) {}
 
@@ -142,17 +141,13 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   // One round trip to the certifier: the request carries the writeset and the
   // replica's applied version; the response carries the verdict plus remote
   // writesets committed since. The payload is parked in the pending slab so
-  // the scheduled arrival captures only {this, slot}.
+  // the scheduled arrival captures only {this, txn_seq, slot, generation}.
   const uint32_t slot = pending_certs_.Alloc();
   PendingCert& pending = pending_certs_[slot];
   pending.ws = std::move(outcome.writeset);
   pending.ws.snapshot_version = applied_version_;
   pending.done = std::move(done);
-  if (!retry_armed_) {
-    channel_->ScheduleArrival(CertificationRtt(), [this, slot]() { OnCertifyArrive(slot); });
-    return;
-  }
-  pending.txn_seq = next_txn_seq_++;
+  pending.txn_seq = retry_armed_ ? next_txn_seq_++ : kNoTxnSeq;
   pending.attempts = 0;
   if (slot >= cert_gen_.size()) {
     cert_gen_.resize(slot + 1, 0);
@@ -171,14 +166,15 @@ void Proxy::SendCert(uint32_t slot) {
   const uint32_t gen = cert_gen_[slot];
   const uint64_t seq = pending.txn_seq;
   channel_->ScheduleArrival(
-      CertificationRtt(),
-      [this, seq, slot, gen]() { OnCertifyArriveGuarded(slot, gen, seq); },
+      CertificationRtt(), [this, seq, slot, gen]() { OnCertifyArrive(slot, gen, seq); },
       static_cast<uint32_t>(replica_->id()));
-  pending.timeout =
-      sim_->ScheduleAfter(retry_.timeout, [this, slot, gen]() { OnCertTimeout(slot, gen); });
+  if (retry_armed_) {
+    pending.timeout =
+        sim_->ScheduleAfter(retry_.timeout, [this, slot, gen]() { OnCertTimeout(slot, gen); });
+  }
 }
 
-void Proxy::OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
+void Proxy::OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
   if (gen != cert_gen_[slot]) {
     // This transaction was already decided through another copy or attempt.
     // The REQUEST still reached the certifier (the round trip models both
@@ -222,7 +218,23 @@ void Proxy::OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq
   pending.ws = Writeset{};
   --live_certs_;
   pending_certs_.Free(slot);
-  HandleCertifyResult(result, std::move(done));
+  EnqueueRemotes(result.remote);
+  PumpApplier();
+  if (result.committed) {
+    const Version commit_version = result.commit_version;
+    // The local update commits only after every intervening remote writeset
+    // is applied; no fsync (durability lives in the certifier log).
+    WaitApplied(commit_version - 1, [this, commit_version, done = std::move(done)]() {
+      AdvanceApplied(commit_version);
+      ++lifetime_update_commits_;
+      FinishTransaction(true, done);
+    });
+  } else {
+    // Certification abort: apply what the response carried, then report.
+    WaitApplied(apply_hi_, [this, done = std::move(done)]() {
+      FinishTransaction(false, done);
+    });
+  }
 }
 
 void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
@@ -275,37 +287,6 @@ SimDuration Proxy::BackoffDelay(int attempt) {
   return d > 0 ? d : 1;
 }
 
-void Proxy::OnCertifyArrive(uint32_t slot) {
-  last_certifier_contact_ = sim_->Now();
-  PendingCert& pending = pending_certs_[slot];
-  CertifyResult result =
-      certifier_->Certify(std::move(pending.ws), replica_->id(), applied_version_);
-  TxnDone done = std::move(pending.done);
-  pending.ws = Writeset{};
-  pending_certs_.Free(slot);
-  HandleCertifyResult(result, std::move(done));
-}
-
-void Proxy::HandleCertifyResult(const CertifyResult& result, TxnDone done) {
-  EnqueueRemotes(result.remote);
-  PumpApplier();
-  if (result.committed) {
-    const Version commit_version = result.commit_version;
-    // The local update commits only after every intervening remote writeset
-    // is applied; no fsync (durability lives in the certifier log).
-    WaitApplied(commit_version - 1, [this, commit_version, done = std::move(done)]() {
-      AdvanceApplied(commit_version);
-      ++lifetime_update_commits_;
-      FinishTransaction(true, done);
-    });
-  } else {
-    // Certification abort: apply what the response carried, then report.
-    WaitApplied(apply_hi_, [this, done = std::move(done)]() {
-      FinishTransaction(false, done);
-    });
-  }
-}
-
 void Proxy::EnqueueRemotes(WritesetRange remotes) {
   // Responses always describe (applied .. head]; dedup against overlapping
   // responses by only ever extending the high cursor.
@@ -324,130 +305,81 @@ void Proxy::PumpApplier() {
   if (pump_active_ || applying_) {
     return;
   }
-  if (lifecycle_ == ReplicaLifecycle::kRecovering && config_.batched_recovery_apply) {
-    PumpApplierBatched();
-    return;
-  }
   pump_active_ = true;
+  const bool recovering = lifecycle_ == ReplicaLifecycle::kRecovering;
+  // Steady state advances per entry; recovery defers to `last` (see proxy.h).
+  Version last = applied_version_;
+  const auto advance = [this, recovering, &last](Version v) {
+    last = v;
+    if (!recovering) {
+      AdvanceApplied(v);
+    }
+  };
   const bool mask_fast = config_.mask_filtering && subscription_.has_value();
-  // Chunk skip-scan is legal here only while no waiter is parked: skipping
-  // coalesces a run of per-version AdvanceApplied calls into one, which is
-  // invisible when AdvanceApplied is pure bookkeeping but would re-order
-  // waiter firings (and with them commit completions) otherwise. The batched
-  // recovery pump has no such gate — it already defers AdvanceApplied.
-  bool try_skip = mask_fast && waiters_.empty();
+  // Chunk skip-scan is legal in steady state only while no waiter is parked:
+  // skipping coalesces a run of per-version AdvanceApplied calls into one,
+  // which is invisible when AdvanceApplied is pure bookkeeping but would
+  // re-order waiter firings (and with them commit completions) otherwise.
+  // Recovery has no such gate — it already defers AdvanceApplied.
+  const auto may_skip = [this, recovering, mask_fast]() {
+    return mask_fast && (recovering || waiters_.empty());
+  };
+  bool try_skip = may_skip();
+  Replica::ApplyBatch batch;
   while (!ApplyQueueEmpty()) {
     if (apply_next_ <= applied_version_) {
-      ++apply_next_;  // already covered (e.g. own commit)
+      ++apply_next_;  // already covered (own commit, or the checkpoint image)
       continue;
     }
-    if (try_skip || (mask_fast && waiters_.empty() &&
-                     (apply_next_ - 1) % WritesetLog::kChunkEntries == 0)) {
+    if (try_skip || (may_skip() && (apply_next_ - 1) % WritesetLog::kChunkEntries == 0)) {
       try_skip = false;
       const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
       if (hop > apply_next_) {
         // Every version in [apply_next_, hop) is provably unwanted; identical
         // to the per-entry filter branch below run hop - apply_next_ times.
+        // A narrow subscription's replay drops to O(chunks) this way.
         const uint64_t skipped = hop - apply_next_;
         stats_.writesets_filtered += skipped;
         stats_.mask_skipped += skipped;
-        if (lifecycle_ == ReplicaLifecycle::kRecovering) {
+        if (recovering) {
           stats_.replay_filtered += skipped;
         }
         apply_next_ = hop;
-        AdvanceApplied(hop - 1);
+        advance(hop - 1);
         continue;
       }
     }
     const Writeset& ws = certifier_->LogEntry(apply_next_);
-    const bool wanted = !subscription_.has_value() ||
-                        (config_.mask_filtering ? WantedByMask(ws)
-                                                : ws.TouchesAny(*subscription_));
-    if (!wanted) {
-      ++apply_next_;
+    ++apply_next_;
+    if (!Wanted(ws)) {
       ++stats_.writesets_filtered;
-      if (lifecycle_ == ReplicaLifecycle::kRecovering) {
+      if (recovering) {
         ++stats_.replay_filtered;  // filtering shrinks the replay volume
       }
-      AdvanceApplied(ws.commit_version);
+      advance(ws.commit_version);
       continue;
     }
-    ++apply_next_;
-    const Version version = ws.commit_version;
     ++stats_.writesets_applied;
-    if (lifecycle_ == ReplicaLifecycle::kRecovering) {
+    if (recovering) {
       ++stats_.replay_applied;
     }
+    replica_->StageApply(ws, batch);
+    last = ws.commit_version;
+    if (!recovering) {
+      break;  // resume when the asynchronous apply completes
+    }
+  }
+  pump_active_ = false;
+  if (batch.count > 0) {
     applying_ = true;
-    replica_->ApplyWriteset(ws, [this, version]() {
+    replica_->SubmitApplyBatch(batch, [this, last]() {
       applying_ = false;
-      AdvanceApplied(version);
+      AdvanceApplied(last);
       PumpApplier();
     });
-    break;  // resume when the asynchronous apply completes
-  }
-  pump_active_ = false;
-  MaybeFinishRecovery();
-}
-
-void Proxy::PumpApplierBatched() {
-  // Recovery fast path: stage every pending log entry's buffer-pool work
-  // (identical draws, identical order as the per-writeset pump), then charge
-  // disk and CPU once for the whole run. Version bookkeeping advances when
-  // the batch completes — during recovery nothing commits locally, so the
-  // deferred AdvanceApplied only changes wall time, not outcomes.
-  pump_active_ = true;
-  Replica::ApplyBatch batch;
-  Version last = applied_version_;
-  const bool mask_fast = config_.mask_filtering && subscription_.has_value();
-  bool try_skip = mask_fast;  // AdvanceApplied is already deferred: no waiter gate
-  while (!ApplyQueueEmpty()) {
-    if (apply_next_ <= applied_version_) {
-      ++apply_next_;  // already covered (e.g. the checkpoint image)
-      continue;
-    }
-    if (try_skip || (mask_fast && (apply_next_ - 1) % WritesetLog::kChunkEntries == 0)) {
-      try_skip = false;
-      const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
-      if (hop > apply_next_) {
-        // Recovery replay of a narrow subscription drops to O(chunks): whole
-        // chunks of unwanted history advance the cursor without being read.
-        const uint64_t skipped = hop - apply_next_;
-        stats_.writesets_filtered += skipped;
-        stats_.replay_filtered += skipped;
-        stats_.mask_skipped += skipped;
-        last = hop - 1;
-        apply_next_ = hop;
-        continue;
-      }
-    }
-    const Writeset& ws = certifier_->LogEntry(apply_next_);
-    ++apply_next_;
-    const bool wanted = !subscription_.has_value() ||
-                        (config_.mask_filtering ? WantedByMask(ws)
-                                                : ws.TouchesAny(*subscription_));
-    if (!wanted) {
-      ++stats_.writesets_filtered;
-      ++stats_.replay_filtered;
-    } else {
-      ++stats_.writesets_applied;
-      ++stats_.replay_applied;
-      replica_->StageApply(ws, batch);
-    }
-    last = ws.commit_version;
-  }
-  pump_active_ = false;
-  if (batch.count == 0) {
+  } else if (recovering) {
     AdvanceApplied(last);  // everything filtered (or queue already drained)
-    MaybeFinishRecovery();
-    return;
   }
-  applying_ = true;
-  replica_->SubmitApplyBatch(batch, [this, last]() {
-    applying_ = false;
-    AdvanceApplied(last);
-    PumpApplier();
-  });
   MaybeFinishRecovery();
 }
 
@@ -553,19 +485,8 @@ void Proxy::PullUpdates() {
   }
   pull_in_progress_ = true;
   ++stats_.pulls;
-  if (retry_armed_) {
-    pull_attempts_ = 0;
-    SendPull();
-    return;
-  }
-  channel_->ScheduleArrival(CertificationRtt(), [this]() {
-    last_certifier_contact_ = sim_->Now();
-    EnqueueRemotes(certifier_->Pull(replica_->id(), applied_version_));
-    // Cleared before pumping: a recovery that drains this response
-    // synchronously must be able to issue the follow-up pull for the delta.
-    pull_in_progress_ = false;
-    PumpApplier();
-  });
+  pull_attempts_ = 0;
+  SendPull();
 }
 
 void Proxy::SendPull() {
@@ -573,8 +494,10 @@ void Proxy::SendPull() {
   const uint64_t gen = pull_gen_;
   channel_->ScheduleArrival(CertificationRtt(), [this, gen]() { OnPullArrive(gen); },
                             static_cast<uint32_t>(replica_->id()));
-  pull_timeout_ =
-      sim_->ScheduleAfter(retry_.timeout, [this, gen]() { OnPullTimeout(gen); });
+  if (retry_armed_) {
+    pull_timeout_ =
+        sim_->ScheduleAfter(retry_.timeout, [this, gen]() { OnPullTimeout(gen); });
+  }
 }
 
 void Proxy::OnPullArrive(uint64_t pull_gen) {
@@ -592,6 +515,8 @@ void Proxy::OnPullArrive(uint64_t pull_gen) {
   }
   last_certifier_contact_ = sim_->Now();
   EnqueueRemotes(certifier_->Pull(replica_->id(), applied_version_));
+  // Cleared before pumping: a recovery that drains this response
+  // synchronously must be able to issue the follow-up pull for the delta.
   pull_in_progress_ = false;
   PumpApplier();
 }

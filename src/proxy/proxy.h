@@ -17,11 +17,12 @@
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
 // a certification round trip parks its payload (the writeset + the
 // transaction-done continuation) in a free-listed slab on the proxy, so the
-// simulator event carries only {proxy, slot}; round trips travel through the
-// cluster's CertifierChannel, which batches same-tick arrivals into one
-// event (group commit); and the remote-apply queue is a pair of version
-// cursors into the certifier log instead of a pointer deque — the pending
-// writesets are always a dense version range. No allocations per transaction.
+// simulator event carries only {proxy, txn_seq, slot, generation}; round
+// trips travel through the cluster's CertifierChannel, which batches
+// same-tick arrivals into one event (group commit); and the remote-apply
+// queue is a pair of version cursors into the certifier log instead of a
+// pointer deque — the pending writesets are always a dense version range.
+// No allocations per transaction.
 #ifndef SRC_PROXY_PROXY_H_
 #define SRC_PROXY_PROXY_H_
 
@@ -43,9 +44,11 @@
 namespace tashkent {
 
 // Retry/timeout/backoff policy for the certifier round trips. Disabled by
-// default: the proxy then assumes delivery (the pre-fault protocol, byte-
-// identical — no timeout events, no RNG draws). The cluster arms it whenever
-// a FaultPlan or certifier failover is in play.
+// default: round trips still take the one generation-guarded path, but no
+// timeout event is scheduled, no jitter is drawn and certification passes
+// kNoTxnSeq (no dedup record), so an unarmed proxy schedules exactly the
+// events a fault-free protocol needs. The cluster arms it whenever a
+// FaultPlan is in play; its certifier-crash and partition verbs require it.
 struct RetryPolicy {
   bool enabled = false;
   // Response deadline per attempt; must exceed the certification RTT
@@ -72,12 +75,6 @@ struct ProxyConfig {
   // Certifier-path retry protocol (see RetryPolicy). The Cluster forks the
   // jitter stream from its fault stream and calls ArmRetry when enabled.
   RetryPolicy retry;
-  // Recovery replay drains each contiguous pending log run as ONE batched
-  // disk/CPU submission (Replica::SubmitApplyBatch) instead of one
-  // round trip per writeset. Cache trajectory and replay volume are
-  // identical; only the replay's wall time shrinks. Off = the pre-checkpoint
-  // per-writeset replay, kept for differential tests.
-  bool batched_recovery_apply = true;
   // Update-filtering fast path (src/storage/table_mask.h): decide "wanted"
   // with the log entry's interned TableMask against the cached subscription
   // mask, and skip whole certifier-log chunks whose union mask provably
@@ -122,7 +119,9 @@ struct ProxyStats {
   uint64_t joins = 0;              // JoinAsNew lifecycles completed (subset of recoveries)
   double join_time_s = 0.0;        // summed join durations (the join-latency metric)
   uint64_t checkpoint_installs = 0;  // checkpoint images installed (join or backfill)
-  // --- faults / retry / failover (all zero while RetryPolicy is off) ---------
+  // --- faults / retry / failover ---------------------------------------------
+  // Zero while RetryPolicy is off, except write_queue_hwm (tracked either
+  // way) and fenced (a failover fences unarmed proxies too).
   uint64_t cert_timeouts = 0;    // certification attempts that hit the deadline
   uint64_t cert_retries = 0;     // certification resubmissions sent
   uint64_t pull_timeouts = 0;    // pull attempts that hit the deadline
@@ -141,8 +140,7 @@ class Proxy {
   using TxnDone = InlineCallback<void(bool committed), 96>;
 
   // `channel` is the cluster-shared certifier channel; when null (standalone
-  // unit tests) the proxy owns a private one, configured from the certifier's
-  // group_commit_batching flag.
+  // unit tests) the proxy owns a private batching one.
   Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig config = {},
         CertifierChannel* channel = nullptr);
 
@@ -156,11 +154,12 @@ class Proxy {
   void StartDaemons();
 
   // Arms the retry/timeout/backoff protocol with `policy` and a seeded
-  // jitter stream (the cluster forks it from its fault stream). Certifier
-  // round trips then carry a per-proxy transaction sequence (the certifier's
-  // dedup key), a response generation guard, a timeout event, and the
-  // sending epoch for failover fencing. Never called => the pre-fault
-  // protocol, bit for bit.
+  // jitter stream (the cluster forks it from its fault stream). Every round
+  // trip carries a response generation guard, the sender id (for partition
+  // windows) and the sending epoch (for failover fencing); arming adds a
+  // per-attempt timeout event with jittered backoff, and a per-proxy
+  // transaction sequence as the certifier's dedup key. Never called => no
+  // timeout events, no RNG draws, and kNoTxnSeq to Certify.
   void ArmRetry(const RetryPolicy& policy, Rng rng);
   bool retry_armed() const { return retry_armed_; }
   // The newest certifier epoch this proxy has learned (via fenced responses).
@@ -218,8 +217,6 @@ class Proxy {
     join_pending_ = true;
     Recover();
   }
-  // Deprecated alias for Recover(); pre-churn callers named the verb Restart.
-  void Restart() { Recover(); }
 
   ReplicaLifecycle lifecycle() const { return lifecycle_; }
   bool available() const { return lifecycle_ == ReplicaLifecycle::kUp; }
@@ -261,29 +258,22 @@ class Proxy {
   // Starts the asynchronous checkpoint install (state transfer) that Recover
   // chose; pulls the (version, head] delta once the image lands.
   void InstallCheckpoint();
-  // Drains the pending log run [apply_next_, apply_hi_] as one batched
-  // disk/CPU submission (the recovery fast path).
-  void PumpApplierBatched();
-  // Arrival of a certification response (one RTT after submission); `slot`
-  // indexes the parked payload in pending_certs_.
-  void OnCertifyArrive(uint32_t slot);
-  // The post-certification completion shared by the assume-delivery and
-  // retry paths: enqueue remotes, pump, wait for the predecessor prefix,
-  // finish the transaction.
-  void HandleCertifyResult(const CertifyResult& result, TxnDone done);
   void PullUpdates();
   SimDuration CertificationRtt() const;
 
-  // --- Retry protocol (RetryPolicy armed) -----------------------------------
+  // --- Certifier round trips -------------------------------------------------
   // One attempt: a channel round trip carrying (slot, generation, txn_seq)
-  // plus a timeout event. The GENERATION guard makes every outcome
-  // idempotent: the slot's generation is bumped exactly once, when the first
-  // surviving response is accepted — any later copy (a duplicate, a late
-  // arrival after its timeout fired, a response racing a backoff resend)
-  // observes a stale generation and is discarded. Slot reuse is safe for the
-  // same reason: a freed slot's generation never matches in-flight captures.
+  // from this proxy's replica id, plus a timeout event when retry is armed.
+  // The GENERATION guard makes every outcome idempotent: the slot's
+  // generation is bumped exactly once, when the first surviving response is
+  // accepted — any later copy (a duplicate, a late arrival after its timeout
+  // fired, a response racing a backoff resend) observes a stale generation
+  // and is discarded. Slot reuse is safe for the same reason: a freed slot's
+  // generation never matches in-flight captures. The accepted response
+  // enqueues the remotes, pumps, waits for the predecessor prefix and
+  // finishes the transaction.
   void SendCert(uint32_t slot);
-  void OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq);
+  void OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq);
   void OnCertTimeout(uint32_t slot, uint32_t gen);
   void SendPull();
   void OnPullArrive(uint64_t pull_gen);
@@ -297,14 +287,30 @@ class Proxy {
   // twice and the replica state is always a consistent log prefix. The queue
   // is a dense version range [apply_next_, apply_hi_] into the certifier
   // log (responses only ever extend the high end).
+  //
+  // PumpApplier stages wanted entries into one Replica::ApplyBatch. In
+  // steady state it stops after the first wanted entry and advances
+  // applied_version_ entry by entry, because parked local commits (waiters_)
+  // fire on each advance and must keep their order. While kRecovering
+  // nothing commits locally, so it drains the whole pending run as one
+  // batched disk/CPU submission and defers the advance to its completion.
+  // The batch makes the same buffer-pool draws in the same order as one
+  // submission per writeset would; only the replay's wall time shrinks.
   void EnqueueRemotes(WritesetRange remotes);
   void PumpApplier();
-  // The mask-probe wanted-decision for log entry `ws` (provably ≡
-  // `ws.TouchesAny(*subscription_)`, see src/storage/table_mask.h): a set-bit
-  // intersection is a true positive; a miss decides only when both masks are
-  // exact; anything inexact falls back to the ordered-set probe. Requires
-  // subscription_ to be engaged.
-  bool WantedByMask(const Writeset& ws) const {
+  // Whether log entry `ws` passes the update-filtering subscription (always,
+  // when none is installed). With mask_filtering the probe is the interned
+  // mask (provably ≡ `ws.TouchesAny(*subscription_)`, see
+  // src/storage/table_mask.h): a set-bit intersection is a true positive; a
+  // miss decides only when both masks are exact; anything inexact falls back
+  // to the ordered-set probe.
+  bool Wanted(const Writeset& ws) const {
+    if (!subscription_.has_value()) {
+      return true;
+    }
+    if (!config_.mask_filtering) {
+      return ws.TouchesAny(*subscription_);
+    }
     const TableMask& mask = certifier_->LogMask(ws.commit_version);
     if (Intersects(mask, sub_mask_)) {
       return true;
@@ -327,13 +333,12 @@ class Proxy {
   void AdvanceApplied(Version v);
 
   // Payload of an in-flight certification round trip, parked so the
-  // simulator event captures only {this, slot} (retry-armed: {this, txn_seq,
-  // slot, generation} — still inside the Arrival's 24 bytes).
+  // simulator event captures only {this, txn_seq, slot, generation} — inside
+  // the Arrival's 24 bytes.
   struct PendingCert {
     Writeset ws;
     TxnDone done;
-    // Retry-armed bookkeeping (untouched on the assume-delivery path).
-    uint64_t txn_seq = 0;              // certifier dedup key, per-proxy monotonic
+    uint64_t txn_seq = kNoTxnSeq;      // certifier dedup key (armed: per-proxy monotonic)
     uint64_t sent_epoch = 0;           // certifier epoch the last attempt targeted
     int attempts = 0;
     Simulator::EventId timeout = Simulator::kInvalidEvent;
@@ -350,7 +355,7 @@ class Proxy {
   Version applied_version_ = 0;
   SimTime last_certifier_contact_ = 0;
   bool pull_in_progress_ = false;
-  // --- Retry protocol state (inert until ArmRetry) --------------------------
+  // --- Round-trip state (timeouts, backoff and txn_seq only once armed) ------
   bool retry_armed_ = false;
   RetryPolicy retry_;
   Rng retry_rng_{0};
@@ -361,8 +366,8 @@ class Proxy {
   std::vector<uint32_t> cert_gen_;
   uint32_t live_certs_ = 0;  // certifications parked (in flight or backing off)
   uint64_t lifetime_update_commits_ = 0;
-  // Pull retry: one pull outstanding at a time, guarded by its own
-  // generation counter (pulls are idempotent reads — no fencing needed).
+  // Pulls: one outstanding at a time, guarded by its own generation counter
+  // (pulls are idempotent reads — no fencing needed).
   uint64_t pull_gen_ = 0;
   int pull_attempts_ = 0;
   Simulator::EventId pull_timeout_ = Simulator::kInvalidEvent;
@@ -375,7 +380,7 @@ class Proxy {
 
   Version apply_next_ = 1;  // next log version the applier will look at
   Version apply_hi_ = 0;    // highest version enqueued (old max_enqueued_)
-  bool applying_ = false;     // an async ApplyWriteset is in flight
+  bool applying_ = false;     // an async apply batch is in flight
   bool pump_active_ = false;  // re-entrancy guard
   ReplicaLifecycle lifecycle_ = ReplicaLifecycle::kUp;
   SimTime recovery_started_ = 0;

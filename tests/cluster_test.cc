@@ -16,13 +16,12 @@ TEST(ClusterConfig, MakeClusterConfigSetsMemory) {
   EXPECT_EQ(c.seed, 7u);
 }
 
-TEST(ClusterConfig, DeprecatedPolicyShimMapsToRegistryNames) {
-  // The legacy enum must keep resolving to registered policies.
-  for (Policy p : {Policy::kRoundRobin, Policy::kLeastConnections, Policy::kLard,
-                   Policy::kMalbS, Policy::kMalbSC, Policy::kMalbSCAP}) {
-    EXPECT_TRUE(PolicyRegistry::Instance().Contains(PolicyName(p))) << PolicyName(p);
+TEST(ClusterConfig, PaperPoliciesAreRegistered) {
+  // The six balancers the paper compares resolve by name.
+  for (const char* name :
+       {"RoundRobin", "LeastConnections", "LARD", "MALB-S", "MALB-SC", "MALB-SCAP"}) {
+    EXPECT_TRUE(PolicyRegistry::Instance().Contains(name)) << name;
   }
-  EXPECT_STREQ(PolicyName(Policy::kMalbSC), "MALB-SC");
 }
 
 TEST(Calibration, StandaloneRunProducesMetrics) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -344,6 +345,28 @@ TEST(FaultCluster, DowntimeIsAccountedInsideTheWindow) {
   EXPECT_NEAR(r.cert_downtime_s, 8.0, 0.01);
   EXPECT_GE(r.failover_recovery_s, 0.0);
   EXPECT_GT(r.committed, 0u);
+}
+
+// The certifier-crash and partition verbs need retry-armed proxies: an
+// unarmed proxy schedules no timeouts, so a request the crashed certifier
+// never answers, or the partition drops, would strand its transaction.
+TEST(FaultCluster, CrashCertifierRequiresRetry) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  cluster.Advance(Seconds(5.0));
+  EXPECT_THROW(cluster.CrashCertifier(), std::logic_error);
+  EXPECT_TRUE(cluster.certifier().serving());
+  EXPECT_EQ(cluster.certifier().crashes(), 0u);
+}
+
+TEST(FaultCluster, PartitionProxyRequiresRetry) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  cluster.Advance(Seconds(5.0));
+  EXPECT_THROW(cluster.PartitionProxy(0, Seconds(5.0)), std::logic_error);
+  const ExperimentResult r = cluster.Measure(Seconds(10.0));
+  EXPECT_EQ(r.msgs_dropped, 0u);  // no window was installed
+  EXPECT_GT(cluster.proxies()[0]->lifetime_update_commits(), 0u);
 }
 
 }  // namespace

@@ -201,6 +201,60 @@ TEST_F(ProxyTest, GatekeeperLimitsConcurrency) {
   EXPECT_EQ(proxies_[0]->stats().read_only, 20u);
 }
 
+// A steady-state apply is in flight when the replica crashes, and the
+// replica recovers before that apply completes. The completion then lands in
+// kRecovering and must hand the rest of the log to the batched recovery
+// drain: one submission whose deferred advance moves applied_version_
+// straight to the head, with every log entry decided exactly once.
+TEST_F(ProxyTest, CrashMidApplyHandsCompletionToRecoveryDrain) {
+  proxies_[1]->SetSubscription(RelationSet{table_b_});
+  constexpr Version kHead = 8;  // versions alternate b, a, b, a, ...
+  for (Version v = 1; v <= kHead; ++v) {
+    proxies_[0]->SubmitTransaction(v % 2 == 1 ? update_b_ : update_a_, [](bool) {});
+    sim_.RunAll();
+  }
+  ASSERT_EQ(certifier_.head_version(), kHead);
+
+  // Prod -> pull -> the steady-state pump stages version 1 (wanted) and waits
+  // on its asynchronous apply.
+  proxies_[1]->OnProd();
+  const CertifierConfig& cc = certifier_.config();
+  sim_.RunUntil(sim_.Now() + 3 * cc.network_one_way + cc.certify_cost);
+  ASSERT_EQ(proxies_[1]->stats().writesets_applied, 1u);
+  ASSERT_EQ(proxies_[1]->applied_version(), 0u);  // the apply is still in flight
+
+  proxies_[1]->Crash();
+  proxies_[1]->Recover();
+  ASSERT_EQ(proxies_[1]->lifecycle(), ReplicaLifecycle::kRecovering);
+  ASSERT_EQ(proxies_[1]->applied_version(), 0u);
+
+  std::vector<Version> seen = {0};
+  while (proxies_[1]->lifecycle() != ReplicaLifecycle::kUp) {
+    ASSERT_LT(sim_.Now(), Seconds(10.0)) << "recovery never finished";
+    sim_.RunUntil(sim_.Now() + 1);
+    if (proxies_[1]->applied_version() != seen.back()) {
+      seen.push_back(proxies_[1]->applied_version());
+    }
+  }
+  // The in-flight apply lands version 1; the batched drain lands the rest in
+  // one deferred advance (a per-writeset pump would step through 2..7).
+  EXPECT_EQ(seen, (std::vector<Version>{0, 1, kHead}));
+
+  const ProxyStats& s = proxies_[1]->stats();
+  // Nothing applied twice: every log entry was applied or filtered once.
+  EXPECT_EQ(s.writesets_applied + s.writesets_filtered, kHead);
+  EXPECT_EQ(s.writesets_applied, 4u);  // versions 1, 3, 5, 7 touch table b
+  EXPECT_EQ(replicas_[1]->stats().writesets_applied, 4u);
+  // The replay covers exactly the entries past the prefix the in-flight
+  // apply completed (version 1).
+  EXPECT_EQ(s.replay_applied, 3u);
+  EXPECT_EQ(s.replay_filtered, 4u);
+  EXPECT_EQ(s.replay_applied + s.replay_filtered, kHead - 1);
+  // Rejoined at the log head.
+  EXPECT_EQ(s.recoveries, 1u);
+  EXPECT_EQ(proxies_[1]->applied_version(), certifier_.head_version());
+}
+
 // --- interest-mask update filtering ------------------------------------------
 
 // Runs one churn scenario — three replicas, eight tables, scripted update
