@@ -9,7 +9,7 @@
 // must change nothing (workload skew equal to the replica default, zipf_s 0,
 // a SwitchMixAt to the already-active mix, SetPopulation calls that restate
 // the current population) and once "plain" with none of the new surface
-// touched. Report() compares every reported field and throws on any
+// touched. Report() compares every metric (FirstDifference) and throws on any
 // difference, which fails the cell hard in CI (`tashkent_bench` exits
 // non-zero); tests/fluid_model_test.cc additionally pins the two rendered
 // run records byte-for-byte. This is what lets the fluid/skew machinery ship
@@ -123,44 +123,6 @@ CellOutput RunInertPair(uint64_t seed) {
   return out;
 }
 
-// Throws std::runtime_error naming the first differing field. Exact (==)
-// comparison on doubles is deliberate: the contract is byte-identity of the
-// rendered run records, not closeness.
-void RequireIdentical(const ExperimentResult& a, const ExperimentResult& b) {
-  const auto fail = [](const std::string& field) {
-    throw std::runtime_error("inert skew cell: armed and plain runs differ on '" + field +
-                             "' — the degenerate parameters are not inert");
-  };
-  if (a.tps != b.tps) fail("tps");
-  if (a.mean_response_s != b.mean_response_s) fail("mean_response_s");
-  if (a.p95_response_s != b.p95_response_s) fail("p95_response_s");
-  if (a.committed != b.committed) fail("committed");
-  if (a.aborted != b.aborted) fail("aborted");
-  if (a.read_kb_per_txn != b.read_kb_per_txn) fail("read_kb_per_txn");
-  if (a.write_kb_per_txn != b.write_kb_per_txn) fail("write_kb_per_txn");
-  if (a.rejected != b.rejected) fail("rejected");
-  if (a.availability != b.availability) fail("availability");
-  if (a.recoveries != b.recoveries) fail("recoveries");
-  if (a.recovery_lag_s != b.recovery_lag_s) fail("recovery_lag_s");
-  if (a.replay_applied != b.replay_applied) fail("replay_applied");
-  if (a.replay_filtered != b.replay_filtered) fail("replay_filtered");
-  if (a.log_chunks_hwm != b.log_chunks_hwm) fail("log_chunks_hwm");
-  if (a.arena_bytes_hwm != b.arena_bytes_hwm) fail("arena_bytes_hwm");
-  if (a.joins != b.joins) fail("joins");
-  if (a.join_latency_s != b.join_latency_s) fail("join_latency_s");
-  if (a.unevenness != b.unevenness) fail("unevenness");
-  if (a.miss_rate != b.miss_rate) fail("miss_rate");
-  if (a.realloc_moves != b.realloc_moves) fail("realloc_moves");
-  if (a.clients_modeled != b.clients_modeled) fail("clients_modeled");
-  if (a.fluid != b.fluid) fail("fluid");
-  if (a.groups.size() != b.groups.size()) fail("groups");
-  for (size_t g = 0; g < a.groups.size(); ++g) {
-    if (a.groups[g].replicas != b.groups[g].replicas || a.groups[g].types != b.groups[g].types) {
-      fail("groups");
-    }
-  }
-}
-
 // --- grid --------------------------------------------------------------------
 
 std::vector<CampaignCell> Cells() {
@@ -225,7 +187,11 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
             "SmallDB/RUBiS, 64-256 replicas, 100k-1M fluid clients, MALB-SC");
 
   const CellOutput& inert = r.Get("inert/4r");
-  RequireIdentical(inert.Result("armed"), inert.Result("plain"));
+  const std::string differs = FirstDifference(inert.Result("armed"), inert.Result("plain"));
+  if (!differs.empty()) {
+    throw std::runtime_error("inert skew cell: armed and plain runs differ on '" + differs +
+                             "' — the degenerate parameters are not inert");
+  }
   out.AddRun(bench::RecOf("inert armed (degenerate knobs)", inert, 0, 0, 0, "armed"));
   out.AddRun(bench::RecOf("inert plain (pre-skew model)", inert, 0, 0, 0, "plain"));
   out.AddScalar("inert pair identical", 1.0);

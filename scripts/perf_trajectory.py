@@ -5,8 +5,9 @@ perf_diff.py answers "did THIS change regress the grid?" by diffing two
 manifests. This tool answers the longer question — how the simulator's
 throughput has moved across the PRs that committed a baseline — by rendering
 every manifest under bench/baselines/ (oldest first) into one markdown
-report: run-wide events/s and wall seconds per snapshot, per-campaign tables,
-and first->last per-cell ratios so a cell that quietly rotted across several
+report: run-wide events/s and wall seconds per snapshot, per-campaign tables
+(whose first->last ratio covers only the cells both snapshots ran), and
+first->last per-cell ratios so a cell that quietly rotted across several
 PRs is visible even when no single PR tripped the perf gate.
 
 The report is deterministic given the committed baselines (it reads only the
@@ -71,7 +72,8 @@ def discover_snapshots():
 
 
 def snapshot_stats(doc):
-    """{campaign: {wall_s, events, events_per_s, cells: {id: events_per_s}}}"""
+    """{campaign: {wall_s, events, events_per_s, cells: {id: events_per_s},
+    cell_load: {id: (wall_s, executed_events)}}}"""
     out = {}
     for c in doc.get("campaigns", []):
         cells = c.get("cells", [])
@@ -82,8 +84,25 @@ def snapshot_stats(doc):
             "events": events,
             "events_per_s": events / wall if wall > 0 else 0.0,
             "cells": {cell["id"]: cell.get("events_per_s", 0.0) for cell in cells},
+            "cell_load": {cell["id"]: (cell.get("wall_s", 0.0),
+                                       cell.get("executed_events", 0))
+                          for cell in cells},
         }
     return out
+
+
+def common_cell_trajectory(first, last):
+    """(first->last events/s ratio text, cells compared) over the cells both
+    campaign snapshots ran, so a cell added or dropped in between (a heavy new
+    storm cell, say) does not masquerade as a speed change."""
+    common = sorted(set(first["cell_load"]) & set(last["cell_load"]))
+
+    def rate(stats):
+        wall = sum(stats["cell_load"][cid][0] for cid in common)
+        events = sum(stats["cell_load"][cid][1] for cid in common)
+        return events / wall if wall > 0 else 0.0
+
+    return fmt_ratio(rate(last), rate(first)), len(common)
 
 
 def fmt_rate(v):
@@ -131,15 +150,21 @@ def render(snapshots):
     all_campaigns = sorted({name for s in stats for name in s})
     lines.append("## Per campaign (events/s)")
     lines.append("")
-    header = "| campaign | " + " | ".join(labels) + " | first->last |"
+    lines.append("first->last compares the first and last snapshot with the campaign")
+    lines.append("over the cells both ran; the snapshot columns cover every cell.")
+    lines.append("")
+    header = "| campaign | " + " | ".join(labels) + " | first->last | cells compared |"
     lines.append(header)
-    lines.append("|---|" + "---:|" * (len(labels) + 1))
+    lines.append("|---|" + "---:|" * (len(labels) + 2))
     for name in all_campaigns:
         rates = [s.get(name, {}).get("events_per_s", 0.0) for s in stats]
-        present = [r for r in rates if r > 0]
-        traj = fmt_ratio(present[-1], present[0]) if len(present) >= 2 else "—"
+        present = [s[name] for s in stats
+                   if s.get(name, {}).get("events_per_s", 0.0) > 0]
+        traj, compared = "—", "—"
+        if len(present) >= 2:
+            traj, compared = common_cell_trajectory(present[0], present[-1])
         lines.append(f"| {name} | " + " | ".join(fmt_rate(r) for r in rates) +
-                     f" | {traj} |")
+                     f" | {traj} | {compared} |")
     lines.append("")
 
     lines.append("## Per cell (events/s, first vs last snapshot with the cell)")

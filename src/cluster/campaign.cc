@@ -134,6 +134,23 @@ double EventRate(uint64_t events, double wall_s) {
   return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
 }
 
+// One cell's host-side timing object, shared by the manifest and the
+// campaign document's "cells" block.
+json::Value CellTimingJson(const CellRecord& cell) {
+  json::Value j = json::Value::Object();
+  j.Set("id", cell.id);
+  // Decimal string: uint64 seeds don't fit a JSON double exactly.
+  j.Set("seed", std::to_string(cell.seed));
+  j.Set("ok", cell.ok);
+  if (!cell.ok) {
+    j.Set("error", cell.error);
+  }
+  j.Set("wall_s", cell.wall_s);
+  j.Set("executed_events", static_cast<double>(cell.output.executed_events));
+  j.Set("events_per_s", EventRate(cell.output.executed_events, cell.wall_s));
+  return j;
+}
+
 }  // namespace
 
 json::Value ManifestJson(const CampaignRunSummary& summary) {
@@ -161,19 +178,8 @@ json::Value ManifestJson(const CampaignRunSummary& summary) {
     uint64_t campaign_events = 0;
     json::Value cells = json::Value::Array();
     for (const CellRecord& cell : run.cells) {
-      json::Value j = json::Value::Object();
-      j.Set("id", cell.id);
-      // Decimal string: uint64 seeds don't fit a JSON double exactly.
-      j.Set("seed", std::to_string(cell.seed));
-      j.Set("ok", cell.ok);
-      if (!cell.ok) {
-        j.Set("error", cell.error);
-      }
-      j.Set("wall_s", cell.wall_s);
-      j.Set("executed_events", static_cast<double>(cell.output.executed_events));
-      j.Set("events_per_s", EventRate(cell.output.executed_events, cell.wall_s));
       campaign_events += cell.output.executed_events;
-      cells.Append(std::move(j));
+      cells.Append(CellTimingJson(cell));
     }
     c.Set("executed_events", static_cast<double>(campaign_events));
     c.Set("events_per_s", EventRate(campaign_events, run.wall_s));
@@ -284,14 +290,7 @@ CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
       // campaign's own JSON, not just the manifest.
       json::Value cells_meta = json::Value::Array();
       for (const CellRecord& cell : record.cells) {
-        json::Value j = json::Value::Object();
-        j.Set("id", cell.id);
-        j.Set("seed", std::to_string(cell.seed));
-        j.Set("ok", cell.ok);
-        j.Set("wall_s", cell.wall_s);
-        j.Set("executed_events", static_cast<double>(cell.output.executed_events));
-        j.Set("events_per_s", EventRate(cell.output.executed_events, cell.wall_s));
-        cells_meta.Append(std::move(j));
+        cells_meta.Append(CellTimingJson(cell));
       }
       json_sink->SetCells(std::move(cells_meta));
       sinks.Add(std::move(json_sink));

@@ -13,6 +13,23 @@
 
 namespace tashkent {
 
+std::string FirstDifference(const ExperimentResult& a, const ExperimentResult& b) {
+  std::string first;
+  ForEachMetric([&](const char* name, unsigned /*report*/, auto member) {
+    if (first.empty() && a.*member != b.*member) {
+      first = name;
+    }
+  });
+  const auto same_group = [](const GroupReport& x, const GroupReport& y) {
+    return x.replicas == y.replicas && x.types == y.types;
+  };
+  if (first.empty() && !std::equal(a.groups.begin(), a.groups.end(), b.groups.begin(),
+                                   b.groups.end(), same_group)) {
+    first = "groups";
+  }
+  return first;
+}
+
 Cluster::Cluster(const Workload& workload, std::string mix_name, std::string policy,
                  ClusterConfig config)
     : workload_(&workload),
@@ -215,6 +232,7 @@ void Cluster::CrashCertifier() {
 }
 
 void Cluster::FailoverCertifier() {
+  RequireRetry("FailoverCertifier");
   const bool was_down = !certifier_.serving();
   certifier_.Failover();
   if (was_down) {

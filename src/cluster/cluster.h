@@ -142,9 +142,9 @@ struct ExperimentResult {
   // True when the fluid aggregate client model generated the load.
   bool fluid = false;
 
-  // --- fault-injection / failover metrics (not rendered into run records —
-  // the JSON run schema is frozen; the faults campaign reports these as
-  // campaign scalars through ResultSink) -----------------------------------
+  // --- fault-injection / failover metrics (not rendered into run records;
+  // the faults campaign reports these as campaign scalars, see
+  // ForEachMetric) ----------------------------------------------------------
   // Messages lost on the channel (drop probability + partition windows) and
   // duplicated/delayed deliveries, over the window.
   uint64_t msgs_dropped = 0;
@@ -175,6 +175,70 @@ struct ExperimentResult {
   // documents stay comparable across kernel refactors.
   uint64_t executed_events = 0;
 };
+
+// Where a metric of ExperimentResult is reported (bit flags).
+enum MetricReport : unsigned {
+  kReportNone = 0,         // read only by tests and benches
+  kReportRunRecord = 1u,   // a key of every JSON run record (src/cluster/sink.h)
+  kReportFaultScalar = 2u  // a per-cell scalar of the faults campaign
+};
+
+// The one list of ExperimentResult's scalar metrics, in run-record order:
+// calls visit(name, report, member) once per metric, where `name` is the
+// run-record JSON key (a fault scalar spells it with spaces for underscores),
+// `report` a MetricReport mask and `member` a pointer to the member (double,
+// uint64_t or bool). The run-record renderer, FirstDifference and
+// the faults campaign's scalars all iterate it; a new metric is one member,
+// its Collect line and one row here. Not listed: `groups` (structured; the
+// renderer and FirstDifference handle it next to the table), the timeline
+// (Figure 6 series) and `executed_events` (host accounting).
+template <typename Visit>
+void ForEachMetric(Visit&& visit) {
+  using R = ExperimentResult;
+  constexpr unsigned kRun = kReportRunRecord;
+  constexpr unsigned kFault = kReportFaultScalar;
+  visit("tps", kRun, &R::tps);
+  visit("mean_response_s", kRun, &R::mean_response_s);
+  visit("p95_response_s", kRun, &R::p95_response_s);
+  visit("committed", kRun, &R::committed);
+  visit("aborted", kRun, &R::aborted);
+  visit("read_kb_per_txn", kRun, &R::read_kb_per_txn);
+  visit("write_kb_per_txn", kRun, &R::write_kb_per_txn);
+  visit("rejected", kRun, &R::rejected);
+  visit("availability", kRun | kFault, &R::availability);
+  visit("recoveries", kRun, &R::recoveries);
+  visit("recovery_lag_s", kRun, &R::recovery_lag_s);
+  visit("replay_applied", kRun, &R::replay_applied);
+  visit("replay_filtered", kRun, &R::replay_filtered);
+  visit("log_chunks_hwm", kRun, &R::log_chunks_hwm);
+  visit("arena_bytes_hwm", kRun, &R::arena_bytes_hwm);
+  visit("join_latency_s", kRun, &R::join_latency_s);
+  visit("unevenness", kRun, &R::unevenness);
+  visit("miss_rate", kRun, &R::miss_rate);
+  visit("realloc_moves", kRun, &R::realloc_moves);
+  visit("clients_modeled", kRun, &R::clients_modeled);
+  visit("fluid", kRun, &R::fluid);
+  visit("joins", kReportNone, &R::joins);
+  visit("msgs_dropped", kFault, &R::msgs_dropped);
+  visit("msgs_duplicated", kFault, &R::msgs_duplicated);
+  visit("msgs_delayed", kFault, &R::msgs_delayed);
+  visit("cert_timeouts", kFault, &R::cert_timeouts);
+  visit("cert_retries", kFault, &R::cert_retries);
+  visit("pull_retries", kFault, &R::pull_retries);
+  visit("fenced", kFault, &R::fenced);
+  visit("stale_responses", kFault, &R::stale_responses);
+  visit("dedup_hits", kFault, &R::dedup_hits);
+  visit("write_queue_hwm", kFault, &R::write_queue_hwm);
+  visit("cert_crashes", kFault, &R::cert_crashes);
+  visit("cert_failovers", kFault, &R::cert_failovers);
+  visit("cert_downtime_s", kFault, &R::cert_downtime_s);
+  visit("failover_recovery_s", kFault, &R::failover_recovery_s);
+}
+
+// The name of the first metric (table order, then "groups") on which `a` and
+// `b` differ, or "" when they match. Exact (==) comparison, doubles included:
+// the inert-pair contracts are identity of the reported values, not closeness.
+std::string FirstDifference(const ExperimentResult& a, const ExperimentResult& b);
 
 class Cluster {
  public:
@@ -229,12 +293,15 @@ class Cluster {
   // Fail-stop the certifier primary: requests go unanswered (sender timeouts
   // drive retries), reads keep serving locally, writes queue behind the
   // gatekeeper bound until FailoverCertifier promotes the warm standby.
-  // CrashCertifier and PartitionProxy throw std::logic_error unless
-  // config.proxy.retry.enabled: only armed proxies time out and resend.
+  // CrashCertifier, FailoverCertifier and PartitionProxy throw
+  // std::logic_error unless config.proxy.retry.enabled: only armed proxies
+  // time out and resend.
   void CrashCertifier();
   // Promote the warm standby (works as a planned handover while the primary
   // still serves): bumps the epoch so stale requests are fenced, and starts
-  // the failover-recovery clock (stopped by the first client commit).
+  // the failover-recovery clock (stopped by the first client commit). The
+  // standby is kept in sync only with sequenced, i.e. retry-armed, requests,
+  // which is why this verb requires retry too.
   void FailoverCertifier();
   // Drop every message from replica `index`'s proxy for `duration` from now
   // (a one-way link partition; responses to earlier requests still arrive).

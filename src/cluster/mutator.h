@@ -28,6 +28,8 @@
 //                           queue behind the gatekeeper bound.
 //   * FailoverCertifier() — promote the warm standby; stale-epoch requests
 //                           are fenced and resent against the new primary.
+//                           Like CrashCertifier and PartitionProxy, it
+//                           requires proxy.retry.enabled (Cluster throws).
 //   * PartitionProxy(i,d) — drop every message from replica i's proxy for
 //                           duration d (a one-way link partition).
 //

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "src/cluster/report.h"
 
@@ -58,58 +56,43 @@ void ConsoleSink::Note(const std::string& text) { std::printf("%s\n", text.c_str
 
 namespace {
 
-void AppendEscaped(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+json::Value GroupsJson(const std::vector<GroupReport>& groups) {
+  json::Value out = json::Value::Array();
+  for (const GroupReport& group : groups) {
+    json::Value types = json::Value::Array();
+    for (const std::string& type : group.types) {
+      types.Append(type);
     }
+    json::Value g = json::Value::Object();
+    g.Set("replicas", group.replicas);
+    g.Set("types", std::move(types));
+    out.Append(std::move(g));
   }
-  out << '"';
+  return out;
 }
 
-// max_digits10 so every double round-trips through the text exactly.
-void AppendNumber(std::ostringstream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10, v);
-  out << buf;
+template <typename T>
+json::Value MetricJson(T value) {
+  return static_cast<double>(value);
 }
+json::Value MetricJson(bool value) { return value; }
 
-void AppendGroups(std::ostringstream& out, const std::vector<GroupReport>& groups) {
-  out << '[';
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (g > 0) {
-      out << ',';
+json::Value RunJson(const RunRecord& record) {
+  json::Value run = json::Value::Object();
+  run.Set("label", record.label);
+  run.Set("policy", record.policy);
+  run.Set("workload", record.workload);
+  run.Set("mix", record.mix);
+  run.Set("paper_tps", record.paper_tps);
+  run.Set("paper_write_kb", record.paper_write_kb);
+  run.Set("paper_read_kb", record.paper_read_kb);
+  ForEachMetric([&](const char* name, unsigned report, auto member) {
+    if ((report & kReportRunRecord) != 0) {
+      run.Set(name, MetricJson(record.result.*member));
     }
-    out << "{\"replicas\":" << groups[g].replicas << ",\"types\":[";
-    for (size_t t = 0; t < groups[g].types.size(); ++t) {
-      if (t > 0) {
-        out << ',';
-      }
-      AppendEscaped(out, groups[g].types[t]);
-    }
-    out << "]}";
-  }
-  out << ']';
+  });
+  run.Set("groups", GroupsJson(record.result.groups));
+  return run;
 }
 
 }  // namespace
@@ -119,144 +102,56 @@ void JsonSink::Begin(const std::string& bench, const std::string& setup) {
   setup_ = setup;
 }
 
-void JsonSink::AddRun(const RunRecord& record) { runs_.push_back(record); }
+void JsonSink::AddRun(const RunRecord& record) { runs_.Append(RunJson(record)); }
 
 void JsonSink::AddRatio(const std::string& label, double paper, double measured) {
-  ratios_.push_back({label, paper, measured});
+  json::Value ratio = json::Value::Object();
+  ratio.Set("label", label);
+  ratio.Set("paper", paper);
+  ratio.Set("measured", measured);
+  ratios_.Append(std::move(ratio));
 }
 
-void JsonSink::AddScalar(const std::string& key, double value) {
-  scalars_.emplace_back(key, value);
-}
+void JsonSink::AddScalar(const std::string& key, double value) { scalars_.Set(key, value); }
 
 void JsonSink::AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
-  groups_.emplace_back(label, groups);
+  json::Value grouping = json::Value::Object();
+  grouping.Set("label", label);
+  grouping.Set("groups", GroupsJson(groups));
+  groupings_.Append(std::move(grouping));
 }
 
 void JsonSink::AddTimeline(const std::string& label, const std::vector<double>& buckets,
                            SimDuration bucket_width) {
-  timelines_.push_back({label, buckets, ToSeconds(bucket_width)});
+  json::Value timeline = json::Value::Object();
+  timeline.Set("label", label);
+  timeline.Set("bucket_s", ToSeconds(bucket_width));
+  json::Value values = json::Value::Array();
+  for (double bucket : buckets) {
+    values.Append(bucket);
+  }
+  timeline.Set("buckets", std::move(values));
+  timelines_.Append(std::move(timeline));
 }
 
-void JsonSink::Note(const std::string& text) { notes_.push_back(text); }
+void JsonSink::Note(const std::string& text) { notes_.Append(text); }
 
 std::string JsonSink::Render() const {
-  std::ostringstream out;
-  out << "{\n  \"bench\": ";
-  AppendEscaped(out, bench_);
-  out << ",\n  \"setup\": ";
-  AppendEscaped(out, setup_);
-  out << ",\n  \"runs\": [";
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    const RunRecord& r = runs_[i];
-    out << (i > 0 ? ",\n    {" : "\n    {");
-    out << "\"label\": ";
-    AppendEscaped(out, r.label);
-    out << ", \"policy\": ";
-    AppendEscaped(out, r.policy);
-    out << ", \"workload\": ";
-    AppendEscaped(out, r.workload);
-    out << ", \"mix\": ";
-    AppendEscaped(out, r.mix);
-    out << ", \"paper_tps\": ";
-    AppendNumber(out, r.paper_tps);
-    out << ", \"paper_write_kb\": ";
-    AppendNumber(out, r.paper_write_kb);
-    out << ", \"paper_read_kb\": ";
-    AppendNumber(out, r.paper_read_kb);
-    out << ", \"tps\": ";
-    AppendNumber(out, r.result.tps);
-    out << ", \"mean_response_s\": ";
-    AppendNumber(out, r.result.mean_response_s);
-    out << ", \"p95_response_s\": ";
-    AppendNumber(out, r.result.p95_response_s);
-    out << ", \"committed\": " << r.result.committed;
-    out << ", \"aborted\": " << r.result.aborted;
-    out << ", \"read_kb_per_txn\": ";
-    AppendNumber(out, r.result.read_kb_per_txn);
-    out << ", \"write_kb_per_txn\": ";
-    AppendNumber(out, r.result.write_kb_per_txn);
-    out << ", \"rejected\": " << r.result.rejected;
-    out << ", \"availability\": ";
-    AppendNumber(out, r.result.availability);
-    out << ", \"recoveries\": " << r.result.recoveries;
-    out << ", \"recovery_lag_s\": ";
-    AppendNumber(out, r.result.recovery_lag_s);
-    out << ", \"replay_applied\": " << r.result.replay_applied;
-    out << ", \"replay_filtered\": " << r.result.replay_filtered;
-    out << ", \"log_chunks_hwm\": " << r.result.log_chunks_hwm;
-    out << ", \"arena_bytes_hwm\": " << r.result.arena_bytes_hwm;
-    out << ", \"join_latency_s\": ";
-    AppendNumber(out, r.result.join_latency_s);
-    out << ", \"unevenness\": ";
-    AppendNumber(out, r.result.unevenness);
-    out << ", \"miss_rate\": ";
-    AppendNumber(out, r.result.miss_rate);
-    out << ", \"realloc_moves\": " << r.result.realloc_moves;
-    out << ", \"clients_modeled\": " << r.result.clients_modeled;
-    out << ", \"fluid\": " << (r.result.fluid ? "true" : "false");
-    out << ", \"groups\": ";
-    AppendGroups(out, r.result.groups);
-    out << '}';
-  }
-  out << "\n  ],\n  \"ratios\": [";
-  for (size_t i = 0; i < ratios_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, ratios_[i].label);
-    out << ", \"paper\": ";
-    AppendNumber(out, ratios_[i].paper);
-    out << ", \"measured\": ";
-    AppendNumber(out, ratios_[i].measured);
-    out << '}';
-  }
-  out << "],\n  \"scalars\": {";
-  for (size_t i = 0; i < scalars_.size(); ++i) {
-    if (i > 0) {
-      out << ", ";
-    }
-    AppendEscaped(out, scalars_[i].first);
-    out << ": ";
-    AppendNumber(out, scalars_[i].second);
-  }
-  out << "},\n  \"groupings\": [";
-  for (size_t i = 0; i < groups_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, groups_[i].first);
-    out << ", \"groups\": ";
-    AppendGroups(out, groups_[i].second);
-    out << '}';
-  }
-  out << "],\n  \"timelines\": [";
-  for (size_t i = 0; i < timelines_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, timelines_[i].label);
-    out << ", \"bucket_s\": ";
-    AppendNumber(out, timelines_[i].bucket_s);
-    out << ", \"buckets\": [";
-    for (size_t b = 0; b < timelines_[i].buckets.size(); ++b) {
-      if (b > 0) {
-        out << ',';
-      }
-      AppendNumber(out, timelines_[i].buckets[b]);
-    }
-    out << "]}";
-  }
-  out << "],\n  \"notes\": [";
-  for (size_t i = 0; i < notes_.size(); ++i) {
-    if (i > 0) {
-      out << ", ";
-    }
-    AppendEscaped(out, notes_[i]);
-  }
-  out << "]";
+  json::Value doc = json::Value::Object();
+  doc.Set("bench", bench_);
+  doc.Set("setup", setup_);
+  doc.Set("runs", runs_);
+  doc.Set("ratios", ratios_);
+  doc.Set("scalars", scalars_);
+  doc.Set("groupings", groupings_);
+  doc.Set("timelines", timelines_);
+  doc.Set("notes", notes_);
   if (cells_.is_array()) {
-    // Host-side timing block, appended last so the deterministic prefix of
-    // the document is unchanged by its presence (see the schema note in
-    // sink.h).
-    out << ",\n  \"cells\": " << cells_.Dump(0);
+    // Host-side timing block, last so every deterministic key precedes it
+    // (see the schema note in sink.h).
+    doc.Set("cells", cells_);
   }
-  out << "\n}\n";
-  return out.str();
+  return doc.Dump(2);
 }
 
 void JsonSink::Finish() {

@@ -17,19 +17,9 @@
 //     "setup":  <Begin setup line>,
 //     "runs":   [{"label", "policy", "workload", "mix",
 //                 "paper_tps", "paper_write_kb", "paper_read_kb",   // 0 = no reference
-//                 "tps", "mean_response_s", "p95_response_s",
-//                 "committed", "aborted",                            // integers
-//                 "read_kb_per_txn", "write_kb_per_txn",
-//                 "rejected", "availability", "recoveries",          // churn metrics
-//                 "recovery_lag_s", "replay_applied",                // (glossary:
-//                 "replay_filtered",                                 // docs/OPERATIONS.md)
-//                 "log_chunks_hwm", "arena_bytes_hwm",               // bounded-log metrics
-//                 "join_latency_s",                                  // checkpoint joins
-//                 "unevenness", "miss_rate",                         // skew-campaign metrics
-//                 "realloc_moves", "clients_modeled",                // (per-replica load CV,
-//                 "fluid",                                           //  pool miss fraction,
-//                                                                    //  MALB moves, population,
-//                                                                    //  fluid-model flag)
+//                 <every kReportRunRecord metric of ForEachMetric,   // src/cluster/cluster.h,
+//                  in table order>,                                  // glossary in
+//                                                                    // docs/OPERATIONS.md
 //                 "groups": [{"replicas": N, "types": [name...]}]}],
 //     "ratios": [{"label", "paper", "measured"}],
 //     "scalars": {<key>: <value>, ...},                              // AddScalar calls
@@ -37,8 +27,8 @@
 //     "timelines": [{"label", "bucket_s",
 //                    "buckets": [committed-per-bucket...]}],         // divide by bucket_s for tps
 //     "notes":  [<string>...],
-//     "cells":  [{"id", "seed", "ok", "wall_s", "executed_events",   // host-side per-cell
-//                 "events_per_s"}]                                   // timing (campaign runs
+//     "cells":  [{"id", "seed", "ok", "error" (failed cells only),   // host-side per-cell
+//                 "wall_s", "executed_events", "events_per_s"}]      // timing (campaign runs
 //   }                                                                // only; see below)
 //
 // The "cells" block is host-side timing metadata injected by the campaign
@@ -47,10 +37,10 @@
 // determinism comparisons (tests/golden_digest_test.cc, REPRODUCING.md's
 // byte-identity claim) strip it before diffing documents.
 //
-// Doubles are rendered with max_digits10, so the document parses back to
-// exactly the measured values (src/common/json.h round-trips it); strings
-// are escaped per JSON with control characters as \u00XX. Consumers should
-// tolerate new keys appearing in future PRs.
+// The document is a json::Value written with Dump (src/common/json.h), so it
+// parses back to exactly the measured values. A scalar key added twice keeps
+// its first position and its last value. Consumers should tolerate new keys
+// appearing in future PRs.
 #ifndef SRC_CLUSTER_SINK_H_
 #define SRC_CLUSTER_SINK_H_
 
@@ -143,8 +133,7 @@ class JsonSink : public ResultSink {
   void Finish() override;
 
   // Installs the host-side per-cell timing block ("cells" key; campaign
-  // runner only). Must be a json array; rendered verbatim at the end of the
-  // document so the deterministic prefix stays byte-stable.
+  // runner only). Must be a json array; rendered as the document's last key.
   void SetCells(json::Value cells) { cells_ = std::move(cells); }
 
   const std::string& path() const { return path_; }
@@ -154,26 +143,15 @@ class JsonSink : public ResultSink {
   std::string Render() const;
 
  private:
-  struct Ratio {
-    std::string label;
-    double paper;
-    double measured;
-  };
-  struct Timeline {
-    std::string label;
-    std::vector<double> buckets;
-    double bucket_s;
-  };
-
   std::string path_;
   std::string bench_;
   std::string setup_;
-  std::vector<RunRecord> runs_;
-  std::vector<Ratio> ratios_;
-  std::vector<std::pair<std::string, double>> scalars_;
-  std::vector<std::pair<std::string, std::vector<GroupReport>>> groups_;
-  std::vector<Timeline> timelines_;
-  std::vector<std::string> notes_;
+  json::Value runs_ = json::Value::Array();
+  json::Value ratios_ = json::Value::Array();
+  json::Value scalars_ = json::Value::Object();
+  json::Value groupings_ = json::Value::Array();
+  json::Value timelines_ = json::Value::Array();
+  json::Value notes_ = json::Value::Array();
   json::Value cells_;  // null until SetCells; then the "cells" array
   bool written_ = false;
   bool write_ok_ = false;

@@ -347,9 +347,10 @@ TEST(FaultCluster, DowntimeIsAccountedInsideTheWindow) {
   EXPECT_GT(r.committed, 0u);
 }
 
-// The certifier-crash and partition verbs need retry-armed proxies: an
-// unarmed proxy schedules no timeouts, so a request the crashed certifier
-// never answers, or the partition drops, would strand its transaction.
+// The certifier-crash, failover and partition verbs need retry-armed
+// proxies: an unarmed proxy schedules no timeouts, so a request the crashed
+// certifier never answers, or the partition drops, would strand its
+// transaction.
 TEST(FaultCluster, CrashCertifierRequiresRetry) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
@@ -357,6 +358,21 @@ TEST(FaultCluster, CrashCertifierRequiresRetry) {
   EXPECT_THROW(cluster.CrashCertifier(), std::logic_error);
   EXPECT_TRUE(cluster.certifier().serving());
   EXPECT_EQ(cluster.certifier().crashes(), 0u);
+}
+
+// The standby is shipped only sequenced (retry-armed) decisions, so an
+// unarmed cluster's standby image is not in sync and cannot be promoted.
+TEST(FaultCluster, FailoverCertifierRequiresRetry) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  cluster.Advance(Seconds(5.0));
+  ASSERT_GT(cluster.certifier().certified_count(), 0u);
+  EXPECT_THROW(cluster.FailoverCertifier(), std::logic_error);
+  EXPECT_TRUE(cluster.certifier().serving());
+  EXPECT_EQ(cluster.certifier().epoch(), 1u);
+  const ExperimentResult r = cluster.Measure(Seconds(10.0));
+  EXPECT_EQ(r.cert_failovers, 0u);
+  EXPECT_EQ(r.fenced, 0u);
 }
 
 TEST(FaultCluster, PartitionProxyRequiresRetry) {

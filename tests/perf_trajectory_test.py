@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tests for scripts/perf_trajectory.py: snapshot ordering, ratio math,
-cells that appear/disappear across snapshots, and the --check staleness gate
+cells that appear/disappear across snapshots (campaign ratios over common
+cells only), and the --check staleness gate
 that keeps docs/PERF_TRAJECTORY.md honest in CI.
 
 Synthetic manifests throughout (same shape as tests/perf_diff_test.py); the
@@ -96,6 +97,19 @@ class PerfTrajectoryTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("perf:cell/filter-storm", r.stdout)
         self.assertIn("B only", r.stdout)   # no fabricated trajectory
+
+    def test_campaign_ratio_compares_common_cells_only(self):
+        # A heavy cell added in the last snapshot drags the campaign's
+        # all-cell events/s down; the first->last ratio must ignore it.
+        old = manifest({"perf": [("kernel/slab", 1.0, 1000)]})
+        new = manifest({"perf": [("kernel/slab", 1.0, 2000),
+                                 ("cell/filter-storm", 10.0, 1000)]})
+        r = self.run_traj("--manifest", f"A={self.write('a.json', old)}",
+                          "--manifest", f"B={self.write('b.json', new)}")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        perf_row = [l for l in r.stdout.splitlines() if l.startswith("| perf |")]
+        self.assertEqual(len(perf_row), 1)
+        self.assertEqual(perf_row[0], "| perf | 1,000 | 273 | 2.00x | 1 |")
 
     def test_campaign_missing_from_first_snapshot(self):
         old = manifest({"fig3": [("a", 1.0, 1000)]})

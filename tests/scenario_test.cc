@@ -1,15 +1,19 @@
 // ScenarioBuilder: scripted phases are equivalent to the raw Cluster hooks,
-// and JsonSink output round-trips its numeric fields.
+// JsonSink output round-trips its values, and the metric table drives both
+// the run record and FirstDifference.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/cluster/experiment.h"
 #include "src/cluster/scenario.h"
 #include "src/cluster/sink.h"
+#include "src/common/json.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -94,20 +98,9 @@ TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
   EXPECT_DOUBLE_EQ(direct.tps, scenario.ByLabel("m").tps);
 }
 
-// Extracts the number following `"key": ` in a JSON string.
-double JsonNumber(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t pos = json.find(needle);
-  EXPECT_NE(pos, std::string::npos) << "missing key " << key;
-  if (pos == std::string::npos) {
-    return -1e300;
-  }
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
 TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   RunRecord rec;
-  rec.label = "row \"quoted\"";  // exercises escaping
+  rec.label = "row \"quoted\"\n\x01";  // exercises escaping
   rec.policy = "MALB-SC";
   rec.workload = "TPC-W";
   rec.mix = "ordering";
@@ -119,6 +112,8 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   rec.result.aborted = 321;
   rec.result.read_kb_per_txn = 19.87654321098765;
   rec.result.write_kb_per_txn = 12.34567890123456;
+  rec.result.arena_bytes_hwm = (uint64_t{1} << 53) - 1;  // largest exact integer
+  rec.result.fluid = true;
   GroupReport g;
   g.types = {"BestSeller"};
   g.replicas = 2;
@@ -136,24 +131,94 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   ASSERT_TRUE(file.good());
   std::stringstream buffer;
   buffer << file.rdbuf();
-  const std::string json = buffer.str();
   std::remove(path.c_str());
+  const json::Value doc = json::Value::Parse(buffer.str());
 
-  // Every numeric field parses back to exactly the stored double
-  // (max_digits10 rendering).
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "tps"), rec.result.tps);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "mean_response_s"), rec.result.mean_response_s);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "p95_response_s"), rec.result.p95_response_s);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "read_kb_per_txn"), rec.result.read_kb_per_txn);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "write_kb_per_txn"), rec.result.write_kb_per_txn);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "paper_tps"), 76.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "committed"), 17654.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "aborted"), 321.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "measured"), 1.476543210987654);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "speedup"), 25.123456789012345);
-  EXPECT_NE(json.find("\"replicas\":2"), std::string::npos);
-  EXPECT_NE(json.find("BestSeller"), std::string::npos);
-  EXPECT_NE(json.find("row \\\"quoted\\\""), std::string::npos);
+  // Every value parses back to exactly what was stored (==, not near).
+  const json::Value& run = doc.At("runs").Items().at(0);
+  EXPECT_EQ(run.At("label").AsString(), rec.label);
+  EXPECT_EQ(run.At("policy").AsString(), rec.policy);
+  EXPECT_EQ(run.At("paper_tps").AsNumber(), 76.0);
+  EXPECT_EQ(run.At("tps").AsNumber(), rec.result.tps);
+  EXPECT_EQ(run.At("mean_response_s").AsNumber(), rec.result.mean_response_s);
+  EXPECT_EQ(run.At("p95_response_s").AsNumber(), rec.result.p95_response_s);
+  EXPECT_EQ(run.At("read_kb_per_txn").AsNumber(), rec.result.read_kb_per_txn);
+  EXPECT_EQ(run.At("write_kb_per_txn").AsNumber(), rec.result.write_kb_per_txn);
+  EXPECT_EQ(run.At("committed").AsNumber(), 17654.0);
+  EXPECT_EQ(run.At("aborted").AsNumber(), 321.0);
+  EXPECT_EQ(run.At("arena_bytes_hwm").AsNumber(),
+            static_cast<double>(rec.result.arena_bytes_hwm));
+  EXPECT_EQ(run.At("availability").AsNumber(), 1.0);
+  EXPECT_TRUE(run.At("fluid").AsBool());
+  const json::Value& group = run.At("groups").Items().at(0);
+  EXPECT_EQ(group.At("replicas").AsNumber(), 2.0);
+  EXPECT_EQ(group.At("types").Items().at(0).AsString(), "BestSeller");
+  const json::Value& ratio = doc.At("ratios").Items().at(0);
+  EXPECT_EQ(ratio.At("paper").AsNumber(), 1.4868421052631579);
+  EXPECT_EQ(ratio.At("measured").AsNumber(), 1.476543210987654);
+  EXPECT_EQ(doc.At("scalars").At("speedup").AsNumber(), 25.123456789012345);
+}
+
+// --- the metric table (ForEachMetric in src/cluster/cluster.h) ---------------
+
+// Perturbing any one table metric on a copy is reported under that metric's
+// name: every row compares its own member.
+TEST(Metrics, FirstDifferenceNamesEveryTableField) {
+  const ExperimentResult base;
+  EXPECT_EQ(FirstDifference(base, base), "");
+  size_t rows = 0;
+  ForEachMetric([&](const char* name, unsigned /*report*/, auto member) {
+    ExperimentResult copy = base;
+    auto& field = copy.*member;
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+      field = !field;
+    } else {
+      field += 1;
+    }
+    EXPECT_EQ(FirstDifference(base, copy), name);
+    EXPECT_EQ(FirstDifference(copy, base), name);
+    ++rows;
+  });
+  EXPECT_GT(rows, 0u);
+}
+
+TEST(Metrics, FirstDifferenceNamesGroups) {
+  ExperimentResult a;
+  a.groups.push_back({{"BestSeller", "Search"}, 2});
+  ExperimentResult b = a;
+  EXPECT_EQ(FirstDifference(a, b), "");
+  b.groups[0].replicas = 3;
+  EXPECT_EQ(FirstDifference(a, b), "groups");
+  b = a;
+  b.groups[0].types.pop_back();
+  EXPECT_EQ(FirstDifference(a, b), "groups");
+  b = a;
+  b.groups.push_back(a.groups[0]);
+  EXPECT_EQ(FirstDifference(a, b), "groups");
+}
+
+// A run record carries the identity keys, then exactly the table's
+// run-record metrics in table order, then "groups".
+TEST(Metrics, RunRecordKeysFollowTheTable) {
+  std::vector<std::string> expected = {"label",     "policy",         "workload",     "mix",
+                                       "paper_tps", "paper_write_kb", "paper_read_kb"};
+  ForEachMetric([&](const char* name, unsigned report, auto /*member*/) {
+    if ((report & kReportRunRecord) != 0) {
+      expected.push_back(name);
+    }
+  });
+  expected.push_back("groups");
+
+  JsonSink sink("scenario_test_keys.json");
+  sink.AddRun(RunRecord{});
+  const json::Value doc = json::Value::Parse(sink.Render());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.At("runs").Items().at(0).Members()) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, expected);
+  sink.Finish();
+  std::remove("scenario_test_keys.json");
 }
 
 }  // namespace
