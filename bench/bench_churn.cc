@@ -3,7 +3,7 @@
 //
 // The paper's dynamic-reconfiguration story (Figure 6) changes the LOAD under
 // a fixed cluster; this campaign changes the CLUSTER under a fixed load,
-// exercising every ClusterMutator verb:
+// exercising every replica churn verb (src/cluster/mutator.h):
 //   * failrecover/* — KillReplica + RecoverReplica mid-window, with and
 //     without update filtering. Filtering shrinks the recovery replay (a
 //     recovering replica skips writesets outside its subscription), so the
@@ -194,7 +194,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
 RegisterCampaign churn{{"churn", "",
                         "fault injection & elastic cluster (fail/recover, heterogeneous "
                         "memory, scale-out, resize)",
-                        "MidDB 1.8GB / RUBiS 2.2GB, 8 replicas; every ClusterMutator verb",
+                        "MidDB 1.8GB / RUBiS 2.2GB, 8 replicas; every replica churn verb",
                         Cells, Report}};
 
 }  // namespace

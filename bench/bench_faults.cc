@@ -204,14 +204,14 @@ std::vector<CampaignCell> Cells() {
   cells.push_back(
       FaultCell("dupdelay/storm", Storm(0.05, 0.15, 0.30, Millis(2)), PlainScript()));
 
-  // Scripted one-way link partitions through the mutator verbs: proxy 0 loses
-  // its certifier link for 5 s mid-window, proxy 1 for 2 s later on. Writes
-  // queue behind the gatekeeper and drain on heal.
+  // Scripted one-way link partitions through the PartitionProxy verb: proxy 0
+  // loses its certifier link for 5 s mid-window, proxy 1 for 2 s later on.
+  // Writes queue behind the gatekeeper and drain on heal.
   cells.push_back(FaultCell("partition/heal", FaultPlan{},
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
-                                .PartitionAt(Seconds(20.0), 0, Seconds(5.0))
-                                .PartitionAt(Seconds(60.0), 1, Seconds(2.0))
+                                .PartitionProxyAt(Seconds(20.0), 0, Seconds(5.0))
+                                .PartitionProxyAt(Seconds(60.0), 1, Seconds(2.0))
                                 .Measure(Seconds(120.0), "measure")));
 
   // Clean crash/failover cycle: the certifier fail-stops 40 s into the
@@ -221,7 +221,7 @@ std::vector<CampaignCell> Cells() {
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
                                 .CrashCertifierAt(Seconds(40.0))
-                                .FailoverAt(Seconds(48.0))
+                                .FailoverCertifierAt(Seconds(48.0))
                                 .Measure(Seconds(120.0), "measure")));
 
   // Failover under a fault storm: two crash/failover cycles while the
@@ -230,9 +230,9 @@ std::vector<CampaignCell> Cells() {
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
                                 .CrashCertifierAt(Seconds(30.0))
-                                .FailoverAt(Seconds(36.0))
+                                .FailoverCertifierAt(Seconds(36.0))
                                 .CrashCertifierAt(Seconds(70.0))
-                                .FailoverAt(Seconds(78.0))
+                                .FailoverCertifierAt(Seconds(78.0))
                                 .Measure(Seconds(120.0), "measure")));
 
   return cells;

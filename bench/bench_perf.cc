@@ -502,10 +502,10 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
   }
   // The churn cell's recovery must actually have happened, or it is not
   // exercising the Cancel/replay paths it exists for.
-  const ExperimentResult& churn = r.Get("cell/churn").Result();
-  if (churn.recoveries == 0) {
-    out.Note("WARNING: cell/churn completed no recovery — the churn cell is "
-             "not exercising the replay path");
+  if (r.Get("cell/churn").Result().recoveries == 0) {
+    throw std::runtime_error(
+        "cell/churn completed no recovery — the churn cell is not exercising "
+        "the replay path");
   }
 
   // Filter storm: the mask fast path against the frozen TouchesAny baseline.

@@ -53,7 +53,9 @@ fi
 # inert pair must stay byte-identical; the faults campaign's zero-loss
 # ledger must hold on every cell. ONE invocation, so the manifest covers all
 # five campaigns and the perf_diff step below can compare them against the
-# baseline (each invocation rewrites BENCH_campaign.json from scratch).
+# baseline (each invocation rewrites BENCH_campaign.json from scratch). The
+# in-bench checks (perf checksums, the churn cell's recovery, the faults
+# ledger) throw, which fails the cell and the binary's exit code.
 rm -rf build/bench-out
 mkdir -p build/bench-out
 ./build/tashkent_bench run smoke perf marathon skew faults --jobs 2 --json build/bench-out
@@ -63,10 +65,6 @@ test -s build/bench-out/BENCH_marathon.json
 test -s build/bench-out/BENCH_skew.json
 test -s build/bench-out/BENCH_faults.json
 test -s build/bench-out/BENCH_campaign.json
-if grep -q "checksums diverge" build/bench-out/BENCH_perf.json; then
-  echo "ci: perf campaign checksum mismatch — old/new hot paths diverged" >&2
-  exit 1
-fi
 
 # The bounded-log gate: with auto-pruning on, the certifier log's chunk
 # high-water mark must PLATEAU across the marathon's churn epochs (last epoch
@@ -152,8 +150,8 @@ if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
 
-# Every ClusterMutator verb must appear in the operator's handbook. The verb
-# list is extracted from the `// verb: <Name>` tags on the declarations in
+# Every timeline verb must appear in the operator's handbook. The verb list
+# is extracted from the `// verb: <Name>` tags on the Verb values in
 # mutator.h, so adding a verb without documenting it fails here.
 # `|| true` keeps set -e from killing the script before the empty-list
 # diagnostic below can fire.
@@ -164,7 +162,7 @@ if [ -z "${verbs}" ]; then
 fi
 while IFS= read -r verb; do
   if ! grep -q "\b${verb}\b" docs/OPERATIONS.md; then
-    echo "ci: ClusterMutator verb '${verb}' is not documented in docs/OPERATIONS.md" >&2
+    echo "ci: timeline verb '${verb}' is not documented in docs/OPERATIONS.md" >&2
     missing=1
   fi
 done <<< "${verbs}"

@@ -44,7 +44,7 @@ class LoadBalancer {
     (void)type;
   }
 
-  // --- Topology hooks (ClusterMutator verbs) -------------------------------
+  // --- Topology hooks (AddReplica / ResizeMemory timeline verbs) ----------
   // A replica joined the cluster at runtime (AddReplica). The default appends
   // it to the routable proxy list and signals a topology change; policies
   // with derived state extend OnTopologyChange rather than this.

@@ -162,6 +162,47 @@ void Cluster::Advance(SimDuration d) {
   sim_.RunUntil(sim_.Now() + d);
 }
 
+void Cluster::Apply(const Mutation& m) {
+  MutationRecord record{sim_.Now(), m};
+  switch (m.verb) {
+    case Verb::kKillReplica:
+      KillReplica(m.target);
+      break;
+    case Verb::kRecoverReplica:
+      RecoverReplica(m.target);
+      break;
+    case Verb::kAddReplica:
+      record.m.target = AddReplica(m.memory);
+      break;
+    case Verb::kResizeMemory:
+      ResizeMemory(m.target, m.memory);
+      break;
+    case Verb::kCrashCertifier:
+      CrashCertifier();
+      break;
+    case Verb::kFailoverCertifier:
+      FailoverCertifier();
+      break;
+    case Verb::kPartitionProxy:
+      PartitionProxy(m.target, m.duration);
+      break;
+    case Verb::kSwitchMix:
+      SwitchMix(m.mix);
+      break;
+    case Verb::kSetPopulation:
+      SetPopulation(m.target);
+      break;
+    case Verb::kFreezeAllocation:
+      FreezeAllocation();
+      break;
+  }
+  mutations_.push_back(std::move(record));
+}
+
+void Cluster::ApplyAfter(SimDuration delay, Mutation m) {
+  sim_.ScheduleAfter(delay, [this, m = std::move(m)]() { Apply(m); });
+}
+
 void Cluster::SwitchMix(const std::string& mix_name) {
   clients_->SetMix(&workload_->MixByName(mix_name));
   mix_name_ = mix_name;

@@ -9,7 +9,7 @@
 // The balancer is resolved by name through the PolicyRegistry
 // (src/balancer/registry.h): adding a policy never touches this header.
 // Multi-phase runs are scripted with ScenarioBuilder (src/cluster/scenario.h)
-// on top of the raw hooks below.
+// on top of Apply/ApplyAfter and the raw hooks below.
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
@@ -22,6 +22,7 @@
 #include "src/balancer/malb.h"
 #include "src/certifier/certifier.h"
 #include "src/certifier/channel.h"
+#include "src/cluster/mutator.h"
 #include "src/common/stats.h"
 #include "src/proxy/proxy.h"
 #include "src/replica/replica.h"
@@ -256,8 +257,23 @@ class Cluster {
   // Runs warmup (metrics discarded) then measurement; returns the result.
   ExperimentResult Run(SimDuration warmup, SimDuration measure);
 
+  // --- Timeline verbs (src/cluster/mutator.h) -----------------------------
+  // Applies `m` now by calling the verb's method below, then appends a
+  // MutationRecord stamped with the current instant to mutations() (for
+  // AddReplica the record's target is the new index). A verb that throws
+  // records nothing.
+  void Apply(const Mutation& m);
+  // Schedules Apply(m) as a simulator event `delay` from now. Scheduling does
+  // not allocate: `m` moves into the event's inline capture. The event
+  // belongs to this cluster's simulator, so it fires whenever the cluster is
+  // advanced past its instant, even after the script that scheduled it has
+  // returned.
+  void ApplyAfter(SimDuration delay, Mutation m);
+  // Mutations applied through Apply, in execution order. Direct calls of the
+  // methods below are not logged.
+  const std::vector<MutationRecord>& mutations() const { return mutations_; }
+
   // --- Hooks used by multi-phase experiments (Figure 6) -------------------
-  // ScenarioBuilder drives these; they remain public for direct use.
   // Advances simulated time without collecting metrics.
   void Advance(SimDuration d);
   // Switches the client mix immediately.
@@ -269,8 +285,7 @@ class Cluster {
   // baseline). No-op for non-MALB policies.
   void FreezeAllocation();
 
-  // --- Churn verbs (the ClusterMutator surface; src/cluster/mutator.h wraps
-  // these with simulator-event scheduling and a mutation log) ---------------
+  // --- Churn verbs -------------------------------------------------------
   // Fail-stop replica `index`: it rejects new work until recovered.
   void KillReplica(size_t index);
   // Begins recovery of a killed replica: cold cache, replays the certifier's
@@ -289,7 +304,7 @@ class Cluster {
   // when memory <= the configured reservation.
   void ResizeMemory(size_t index, Bytes memory);
 
-  // --- Certifier failover / partition verbs (ClusterMutator schedules) -----
+  // --- Certifier failover / partition verbs -------------------------------
   // Fail-stop the certifier primary: requests go unanswered (sender timeouts
   // drive retries), reads keep serving locally, writes queue behind the
   // gatekeeper bound until FailoverCertifier promotes the warm standby.
@@ -394,6 +409,7 @@ class Cluster {
   PercentileTracker response_s_;
   TimeSeries timeline_;
   bool started_ = false;
+  std::vector<MutationRecord> mutations_;
 };
 
 }  // namespace tashkent

@@ -64,18 +64,4 @@ int CalibratedClients(const Workload& workload, const std::string& mix,
   return fut.get();
 }
 
-ExperimentResult RunExperiment(const Workload& workload, const std::string& mix,
-                               const std::string& policy, ClusterConfig config,
-                               int clients_per_replica, SimDuration warmup,
-                               SimDuration measure) {
-  config.clients_per_replica = clients_per_replica > 0
-                                   ? clients_per_replica
-                                   : CalibratedClients(workload, mix, config);
-  const ScenarioResult scenario = ScenarioBuilder()
-                                      .Warmup(warmup)
-                                      .Measure(measure, "measure")
-                                      .Run(workload, mix, policy, config);
-  return scenario.ByLabel("measure");
-}
-
 }  // namespace tashkent

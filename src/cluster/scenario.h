@@ -34,17 +34,23 @@
 //     SetPopulationAt(d, n) schedules it like the other *At forms. Zero
 //     duration.
 //   * KillReplica(i) / RecoverReplica(i) / AddReplica(mem) /
-//     ResizeMemory(i, mem) — the ClusterMutator churn verbs
+//     ResizeMemory(i, mem) / CrashCertifier() / FailoverCertifier() /
+//     PartitionProxy(i, d) — the churn and certifier-fault verbs
 //     (src/cluster/mutator.h), applied at the current instant. Zero
 //     duration.
-//   * KillReplicaAt(d, i) and the other *At forms — schedule the verb as a
-//     simulator event `d` after the instant this phase executes, then move
-//     on immediately: `.KillReplicaAt(Seconds(120), 3).Measure(Seconds(600),
-//     "churn")` fails replica 3 two minutes INTO the measure window. Zero
-//     duration.
+//   * KillReplicaAt(d, i) and the other <Verb>At forms — schedule the verb
+//     as a simulator event `d` after the instant this phase executes, then
+//     move on immediately: `.KillReplicaAt(Seconds(120), 3).Measure(
+//     Seconds(600), "churn")` fails replica 3 two minutes INTO the measure
+//     window. Zero duration. A verb scheduled past the end of the script is
+//     not in the result's mutation log; it fires if the caller keeps
+//     advancing the cluster.
 //   * FreezeAllocation()     — pin MALB's current allocation (the paper's
 //     static-configuration baseline); no-op for non-MALB policies. Zero
 //     duration.
+//
+// Every verb phase is one Mutation: applied with Cluster::Apply, or
+// scheduled with Cluster::ApplyAfter when its delay is positive.
 //
 // Each Measure phase resets the metric counters, runs for its duration, and
 // records one labeled ExperimentResult. The merged throughput timeline spans
@@ -61,6 +67,7 @@
 #define SRC_CLUSTER_SCENARIO_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -70,28 +77,15 @@ namespace tashkent {
 
 struct ScenarioPhase {
   enum class Kind {
-    kWarmup,       // advance, metrics discarded (alias of kAdvance, named for intent)
-    kAdvance,      // advance, metrics discarded
-    kMeasure,      // reset counters, advance, record a labeled result
-    kSwitchMix,    // switch the client mix (delay 0 = now, > 0 = scheduled)
-    kSetPopulation,    // retarget the client population (delay semantics idem)
-    kKillReplica,      // ClusterMutator verbs; `delay` 0 = apply now,
-    kRecoverReplica,   // > 0 = schedule as a simulator event `delay` from
-    kAddReplica,       // the instant the phase executes (fires inside the
-    kResizeMemory,     // following Advance/Measure phases)
-    kFreezeAllocation,
-    kCrashCertifier,   // certifier fault verbs (delay semantics idem)
-    kFailoverCertifier,
-    kPartitionProxy,
+    kAdvance,  // advance, metrics discarded (Warmup and Advance)
+    kMeasure,  // reset counters, advance, record a labeled result
+    kMutate,   // apply `mutation` now (delay 0) or schedule it `delay` later
   };
   Kind kind;
-  SimDuration duration = Seconds(0.0);  // kWarmup / kAdvance / kMeasure
-  std::string label;                    // kMeasure label or kSwitchMix mix name
-  size_t replica = 0;                   // mutation target replica index
-  SimDuration delay = Seconds(0.0);     // mutation schedule offset (0 = now)
-  Bytes memory = 0;                     // kAddReplica / kResizeMemory (0 = default)
-  size_t population = 0;                // kSetPopulation target
-  SimDuration extent = Seconds(0.0);    // kPartitionProxy window length
+  SimDuration duration = Seconds(0.0);  // kAdvance / kMeasure
+  std::string label = {};               // kMeasure label
+  SimDuration delay = Seconds(0.0);     // kMutate schedule offset (0 = now)
+  Mutation mutation = {};               // kMutate
 };
 
 struct MeasureRecord {
@@ -107,8 +101,9 @@ struct ScenarioResult {
   std::vector<double> timeline;
   SimDuration timeline_bucket = Seconds(30.0);
   SimDuration total = Seconds(0.0);  // total simulated scenario time
-  // Churn verbs applied during the run, in execution order (scheduled verbs
-  // stamped when they fired) — lines up against the timeline.
+  // Verbs applied during the run, in execution order (scheduled verbs
+  // stamped when they fired) — lines up against the timeline. The slice of
+  // Cluster::mutations() appended while the script ran.
   std::vector<MutationRecord> mutations;
   // Simulator events executed over the cluster's whole life (perf accounting
   // for the campaign manifest).
@@ -126,35 +121,48 @@ struct ScenarioResult {
 
 class ScenarioBuilder {
  public:
-  ScenarioBuilder& Warmup(SimDuration d);
-  ScenarioBuilder& Measure(SimDuration d, std::string label);
-  ScenarioBuilder& SwitchMix(std::string mix_name);
-  ScenarioBuilder& SwitchMixAt(SimDuration delay, std::string mix_name);
-  ScenarioBuilder& SetPopulation(size_t population);
-  ScenarioBuilder& SetPopulationAt(SimDuration delay, size_t population);
-  ScenarioBuilder& FreezeAllocation();
+  ScenarioBuilder& Warmup(SimDuration d) { return Advance(d); }
   ScenarioBuilder& Advance(SimDuration d);
+  ScenarioBuilder& Measure(SimDuration d, std::string label);
 
-  // --- churn verbs (ClusterMutator; see the phase semantics above) ---------
-  ScenarioBuilder& KillReplica(size_t index);
-  ScenarioBuilder& RecoverReplica(size_t index);
-  ScenarioBuilder& AddReplica(Bytes memory = 0);
-  ScenarioBuilder& ResizeMemory(size_t index, Bytes memory);
-  ScenarioBuilder& KillReplicaAt(SimDuration delay, size_t index);
-  ScenarioBuilder& RecoverReplicaAt(SimDuration delay, size_t index);
-  ScenarioBuilder& AddReplicaAt(SimDuration delay, Bytes memory = 0);
-  ScenarioBuilder& ResizeMemoryAt(SimDuration delay, size_t index, Bytes memory);
-
-  // --- certifier fault verbs (crash/failover/partition; delay semantics as
-  // above: the *At forms fire inside the following Advance/Measure phase) ---
-  ScenarioBuilder& CrashCertifier();
-  ScenarioBuilder& CrashCertifierAt(SimDuration delay);
-  ScenarioBuilder& FailoverCertifier();
-  ScenarioBuilder& FailoverAt(SimDuration delay);
-  ScenarioBuilder& PartitionProxy(size_t index, SimDuration duration);
-  ScenarioBuilder& PartitionAt(SimDuration delay, size_t index, SimDuration duration);
-
-  const std::vector<ScenarioPhase>& phases() const { return phases_; }
+  // --- timeline verbs (see the phase semantics above) ----------------------
+  ScenarioBuilder& SwitchMix(std::string mix) { return SwitchMixAt(0, std::move(mix)); }
+  ScenarioBuilder& SwitchMixAt(SimDuration delay, std::string mix) {
+    return MutateAt(delay, {Verb::kSwitchMix, 0, 0, 0, std::move(mix)});
+  }
+  ScenarioBuilder& SetPopulation(size_t n) { return SetPopulationAt(0, n); }
+  ScenarioBuilder& SetPopulationAt(SimDuration delay, size_t n) {
+    return MutateAt(delay, {Verb::kSetPopulation, n});
+  }
+  ScenarioBuilder& FreezeAllocation() { return MutateAt(0, {Verb::kFreezeAllocation}); }
+  ScenarioBuilder& KillReplica(size_t i) { return KillReplicaAt(0, i); }
+  ScenarioBuilder& KillReplicaAt(SimDuration delay, size_t i) {
+    return MutateAt(delay, {Verb::kKillReplica, i});
+  }
+  ScenarioBuilder& RecoverReplica(size_t i) { return RecoverReplicaAt(0, i); }
+  ScenarioBuilder& RecoverReplicaAt(SimDuration delay, size_t i) {
+    return MutateAt(delay, {Verb::kRecoverReplica, i});
+  }
+  ScenarioBuilder& AddReplica(Bytes memory = 0) { return AddReplicaAt(0, memory); }
+  ScenarioBuilder& AddReplicaAt(SimDuration delay, Bytes memory = 0) {
+    return MutateAt(delay, {Verb::kAddReplica, 0, memory});
+  }
+  ScenarioBuilder& ResizeMemory(size_t i, Bytes memory) { return ResizeMemoryAt(0, i, memory); }
+  ScenarioBuilder& ResizeMemoryAt(SimDuration delay, size_t i, Bytes memory) {
+    return MutateAt(delay, {Verb::kResizeMemory, i, memory});
+  }
+  ScenarioBuilder& CrashCertifier() { return CrashCertifierAt(0); }
+  ScenarioBuilder& CrashCertifierAt(SimDuration delay) {
+    return MutateAt(delay, {Verb::kCrashCertifier});
+  }
+  ScenarioBuilder& FailoverCertifier() { return FailoverCertifierAt(0); }
+  ScenarioBuilder& FailoverCertifierAt(SimDuration delay) {
+    return MutateAt(delay, {Verb::kFailoverCertifier});
+  }
+  ScenarioBuilder& PartitionProxy(size_t i, SimDuration d) { return PartitionProxyAt(0, i, d); }
+  ScenarioBuilder& PartitionProxyAt(SimDuration delay, size_t i, SimDuration d) {
+    return MutateAt(delay, {Verb::kPartitionProxy, i, 0, d});
+  }
 
   // Executes the scripted phases on an existing cluster (which may already
   // have run other phases; the merged timeline still covers its whole life).
@@ -167,6 +175,9 @@ class ScenarioBuilder {
                      const std::string& policy, const ClusterConfig& config) const;
 
  private:
+  // Appends a kMutate phase (delay 0 = apply when the phase executes).
+  ScenarioBuilder& MutateAt(SimDuration delay, Mutation m);
+
   std::vector<ScenarioPhase> phases_;
 };
 

@@ -158,7 +158,7 @@ class Replica {
   // go stale; dropping models reclaiming their buffer space).
   void DropRelation(RelationId rel) { pool_.DropRelation(rel); }
 
-  // Elastic memory resizing (the ClusterMutator ResizeMemory verb): changes
+  // Elastic memory resizing (the ResizeMemory timeline verb): changes
   // the machine's RAM at runtime. Shrinking evicts cache down to the new
   // size. Throws std::invalid_argument when memory <= reserved.
   void ResizeMemory(Bytes memory);

@@ -45,8 +45,8 @@ class Simulator {
  public:
   // Per-event callback with inline capture storage (no heap). Hot payloads
   // (writesets, transaction continuations) are parked in their owners'
-  // slabs, so event captures are small: the largest is the cluster
-  // mutator's guarded verb (weak token + verb closure).
+  // slabs, so event captures are small: the largest is Cluster::ApplyAfter's
+  // (the cluster pointer plus one Mutation, 72 bytes).
   using Callback = InlineCallback<void(), 96>;
 
   // Generation-tagged slab handle for cancellation: low 32 bits are

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/cluster/campaign.h"
@@ -206,10 +209,12 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
                                .Run(w, kTpcwOrdering, "LeastConnections", config);
 
   ASSERT_EQ(r.mutations.size(), 4u);
-  EXPECT_EQ(r.mutations[0].verb, "KillReplica");
-  EXPECT_EQ(r.mutations[1].verb, "RecoverReplica");
-  EXPECT_EQ(r.mutations[2].verb, "AddReplica");
-  EXPECT_EQ(r.mutations[3].verb, "ResizeMemory");
+  EXPECT_EQ(r.mutations[0].m.verb, Verb::kKillReplica);
+  EXPECT_EQ(r.mutations[1].m.verb, Verb::kRecoverReplica);
+  EXPECT_EQ(r.mutations[2].m.verb, Verb::kAddReplica);
+  EXPECT_EQ(r.mutations[2].m.target, 3u);  // the index the new replica received
+  EXPECT_EQ(r.mutations[3].m.verb, Verb::kResizeMemory);
+  EXPECT_EQ(r.mutations[3].m.memory, 1024 * kMiB);
   // The scheduled verbs fired inside the measure window: 60s warmup + 30s /
   // 90s offsets.
   EXPECT_EQ(r.mutations[0].at, Seconds(90.0));
@@ -221,13 +226,66 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
   EXPECT_GT(churn.availability, 0.5);
 }
 
+// The load verbs share the churn verbs' path: a mix switch, a population
+// change and an allocation freeze are logged with the kill, in firing order,
+// each stamped with the instant it fired.
+TEST(ChurnScenario, LoadVerbsAreLoggedInFiringOrder) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  const ScenarioResult r = ScenarioBuilder()
+                               .Warmup(Seconds(30.0))
+                               .SwitchMixAt(Seconds(20.0), kTpcwBrowsing)
+                               .SetPopulationAt(Seconds(10.0), 6)
+                               .KillReplicaAt(Seconds(40.0), 2)
+                               .FreezeAllocation()
+                               .Measure(Seconds(60.0), "window")
+                               .Run(w, kTpcwOrdering, "MALB-SC", Config(3));
+
+  ASSERT_EQ(r.mutations.size(), 4u);
+  EXPECT_EQ(r.mutations[0].m.verb, Verb::kFreezeAllocation);
+  EXPECT_EQ(r.mutations[0].at, Seconds(30.0));
+  EXPECT_EQ(r.mutations[1].m.verb, Verb::kSetPopulation);
+  EXPECT_EQ(r.mutations[1].m.target, 6u);
+  EXPECT_EQ(r.mutations[1].at, Seconds(40.0));
+  EXPECT_EQ(r.mutations[2].m.verb, Verb::kSwitchMix);
+  EXPECT_EQ(r.mutations[2].m.mix, kTpcwBrowsing);
+  EXPECT_EQ(r.mutations[2].at, Seconds(50.0));
+  EXPECT_EQ(r.mutations[3].m.verb, Verb::kKillReplica);
+  EXPECT_EQ(r.mutations[3].m.target, 2u);
+  EXPECT_EQ(r.mutations[3].at, Seconds(70.0));
+  EXPECT_EQ(r.ByLabel("window").clients_modeled, 6u);
+}
+
+// A scheduled verb is an event of the cluster's simulator, not of the
+// script: one scheduled past the script's end is missing from the script's
+// result, fires once the cluster is advanced past its instant, and is logged
+// by the cluster then.
+TEST(ChurnScenario, VerbScheduledPastTheScriptFiresOnLaterAdvance) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config(3));
+  const ScenarioResult r = ScenarioBuilder()
+                               .KillReplicaAt(Seconds(10.0), 0)
+                               .KillReplicaAt(Seconds(50.0), 1)
+                               .Measure(Seconds(30.0), "short")
+                               .RunOn(cluster);
+  ASSERT_EQ(r.mutations.size(), 1u);
+  EXPECT_EQ(r.mutations[0].m.target, 0u);
+  EXPECT_EQ(cluster.proxies()[1]->lifecycle(), ReplicaLifecycle::kUp);
+
+  cluster.Advance(Seconds(30.0));
+  EXPECT_EQ(cluster.proxies()[1]->lifecycle(), ReplicaLifecycle::kDown);
+  ASSERT_EQ(cluster.mutations().size(), 2u);
+  EXPECT_EQ(cluster.mutations()[1].m.verb, Verb::kKillReplica);
+  EXPECT_EQ(cluster.mutations()[1].m.target, 1u);
+  EXPECT_EQ(cluster.mutations()[1].at, Seconds(50.0));
+}
+
 // --- scheduling verbs is allocation-free -------------------------------------
 
-// ClusterMutator::ScheduleGuarded takes an InlineCallback (not a
-// std::function): scheduling any of the seven verbs — the weak liveness
-// token, the verb closure, and the simulator event — performs zero heap
-// allocations. A campaign can script hundreds of timeline mutations without
-// perturbing the hot path it is about to measure.
+// Cluster::ApplyAfter moves the Mutation into the simulator event's inline
+// capture (an InlineCallback, not a std::function): scheduling any of the
+// seven cluster verbs performs zero heap allocations. A campaign can script
+// hundreds of timeline mutations without perturbing the hot path it is about
+// to measure.
 TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   ClusterConfig config = Config(3);
@@ -235,47 +293,44 @@ TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
   cluster.Advance(Seconds(30.0));
 
+  const Mutation verbs[] = {
+      {Verb::kKillReplica, 1},
+      {Verb::kRecoverReplica, 1},
+      {Verb::kResizeMemory, 0, 512 * kMiB},
+      {Verb::kCrashCertifier},
+      {Verb::kFailoverCertifier},
+      {Verb::kPartitionProxy, 0, 0, Seconds(2.0)},
+      {Verb::kAddReplica},
+  };
   // Warm round: grow the simulator's event storage past what the guarded
-  // round will need, through a mutator destroyed before anything fires (its
-  // events no-op on the expired liveness token).
-  {
-    ClusterMutator warm(&cluster);
-    for (int i = 0; i < 4; ++i) {
-      warm.KillReplicaAt(Seconds(1000.0), 1);
-      warm.RecoverReplicaAt(Seconds(1001.0), 1);
-      warm.AddReplicaAt(Seconds(1002.0));
-      warm.ResizeMemoryAt(Seconds(1003.0), 0, 512 * kMiB);
-      warm.CrashCertifierAt(Seconds(1004.0));
-      warm.FailoverAt(Seconds(1005.0));
-      warm.PartitionAt(Seconds(1006.0), 0, Seconds(1.0));
+  // round will need, with events that fire long after the checks below.
+  for (int i = 0; i < 4; ++i) {
+    for (const Mutation& m : verbs) {
+      cluster.ApplyAfter(Seconds(1000.0), m);
     }
   }
 
-  ClusterMutator mutator(&cluster);
+  // Copy the arguments before the guard: the guard covers ApplyAfter alone.
+  std::vector<Mutation> scheduled(std::begin(verbs), std::end(verbs));
   {
     AllocGuard::Forbid forbid;
-    mutator.KillReplicaAt(Seconds(10.0), 1);
-    mutator.RecoverReplicaAt(Seconds(20.0), 1);
-    mutator.ResizeMemoryAt(Seconds(30.0), 0, 512 * kMiB);
-    mutator.CrashCertifierAt(Seconds(40.0));
-    mutator.FailoverAt(Seconds(45.0));
-    mutator.PartitionAt(Seconds(50.0), 0, Seconds(2.0));
-    mutator.AddReplicaAt(Seconds(60.0));
+    for (size_t i = 0; i < scheduled.size(); ++i) {
+      cluster.ApplyAfter(Seconds(10.0 * static_cast<double>(i + 1)), std::move(scheduled[i]));
+    }
     EXPECT_EQ(forbid.seen(), 0u) << "scheduling a churn verb allocated";
   }
 
   // The scheduled verbs really fire (allocating freely at execution time —
   // the guard covers scheduling only) and land in the log in timeline order.
   cluster.Advance(Seconds(90.0));
-  ASSERT_EQ(mutator.log().size(), 7u);
-  EXPECT_EQ(mutator.log()[0].verb, "KillReplica");
-  EXPECT_EQ(mutator.log()[1].verb, "RecoverReplica");
-  EXPECT_EQ(mutator.log()[2].verb, "ResizeMemory");
-  EXPECT_EQ(mutator.log()[3].verb, "CrashCertifier");
-  EXPECT_EQ(mutator.log()[4].verb, "FailoverCertifier");
-  EXPECT_EQ(mutator.log()[5].verb, "PartitionProxy");
-  EXPECT_EQ(mutator.log()[5].duration, Seconds(2.0));
-  EXPECT_EQ(mutator.log()[6].verb, "AddReplica");
+  ASSERT_EQ(cluster.mutations().size(), 7u);
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(cluster.mutations()[i].m.verb, verbs[i].verb) << VerbName(verbs[i].verb);
+    EXPECT_EQ(cluster.mutations()[i].at, Seconds(40.0 + 10.0 * static_cast<double>(i)))
+        << VerbName(verbs[i].verb);
+  }
+  EXPECT_EQ(cluster.mutations()[5].m.duration, Seconds(2.0));
+  EXPECT_EQ(cluster.mutations()[6].m.target, 3u);  // AddReplica's new index
 }
 
 // --- campaign determinism ----------------------------------------------------

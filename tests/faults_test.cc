@@ -335,10 +335,9 @@ TEST(FaultCluster, CrashFailoverResumesAtNewEpochWithZeroLoss) {
 TEST(FaultCluster, DowntimeIsAccountedInsideTheWindow) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(true));
-  ClusterMutator mutator(&cluster);
   cluster.Advance(Seconds(30.0));
-  mutator.CrashCertifierAt(Seconds(10.0));
-  mutator.FailoverAt(Seconds(18.0));
+  cluster.ApplyAfter(Seconds(10.0), {Verb::kCrashCertifier});
+  cluster.ApplyAfter(Seconds(18.0), {Verb::kFailoverCertifier});
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_EQ(r.cert_crashes, 1u);
   EXPECT_EQ(r.cert_failovers, 1u);
@@ -358,6 +357,20 @@ TEST(FaultCluster, CrashCertifierRequiresRetry) {
   EXPECT_THROW(cluster.CrashCertifier(), std::logic_error);
   EXPECT_TRUE(cluster.certifier().serving());
   EXPECT_EQ(cluster.certifier().crashes(), 0u);
+}
+
+// A verb that throws is not logged: Apply records a mutation only once the
+// verb's method has returned.
+TEST(FaultCluster, ApplyThatThrowsRecordsNothing) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  cluster.Advance(Seconds(5.0));
+  EXPECT_THROW(cluster.Apply({Verb::kCrashCertifier}), std::logic_error);
+  EXPECT_TRUE(cluster.mutations().empty());
+  cluster.Apply({Verb::kKillReplica, 1});
+  ASSERT_EQ(cluster.mutations().size(), 1u);
+  EXPECT_EQ(cluster.mutations()[0].m.verb, Verb::kKillReplica);
+  EXPECT_EQ(cluster.mutations()[0].at, Seconds(5.0));
 }
 
 // The standby is shipped only sequenced (retry-armed) decisions, so an

@@ -10,7 +10,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/cluster/experiment.h"
 #include "src/cluster/scenario.h"
 #include "src/cluster/sink.h"
 #include "src/common/json.h"
@@ -82,20 +81,6 @@ TEST(Scenario, MeasurePhasesAreLabeledAndTimelineSpansRun) {
   // PhaseMeanTps over the whole run is positive and bounded by the busiest
   // bucket.
   EXPECT_GT(r.PhaseMeanTps(0.0, 180.0), 0.0);
-}
-
-TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
-  const Workload w = BuildTpcw(kTpcwSmallEbs);
-  ClusterConfig config = TestConfig(7);
-  const ExperimentResult direct =
-      RunExperiment(w, kTpcwShopping, "LeastConnections", config,
-                    config.clients_per_replica, Seconds(30.0), Seconds(60.0));
-  const ScenarioResult scenario = ScenarioBuilder()
-                                      .Warmup(Seconds(30.0))
-                                      .Measure(Seconds(60.0), "m")
-                                      .Run(w, kTpcwShopping, "LeastConnections", config);
-  EXPECT_EQ(direct.committed, scenario.ByLabel("m").committed);
-  EXPECT_DOUBLE_EQ(direct.tps, scenario.ByLabel("m").tps);
 }
 
 TEST(Scenario, JsonSinkRoundTripsNumericFields) {
