@@ -82,34 +82,6 @@ inline ClusterConfig CellConfig(uint64_t seed, const CellOptions& opts) {
   return config;
 }
 
-// One warmup+measure run of `policy`; the result is labeled "measure".
-inline CampaignCell PolicyCell(std::string id, WorkloadFactory wf, std::string mix,
-                               std::string policy, CellOptions opts = {}) {
-  CampaignCell cell;
-  cell.id = std::move(id);
-  cell.run = [wf = std::move(wf), mix = std::move(mix), policy = std::move(policy),
-              opts = std::move(opts)](uint64_t seed) {
-    const Workload w = wf();
-    ClusterConfig config = CellConfig(seed, opts);
-    config.clients_per_replica =
-        opts.clients > 0
-            ? opts.clients
-            : CalibratedClients(w, opts.calibrate_mix.empty() ? mix : opts.calibrate_mix,
-                                config);
-    CellOutput out;
-    out.workload = w.name;
-    out.mix = mix;
-    out.policy = policy;
-    out.scenario = ScenarioBuilder()
-                       .Warmup(opts.warmup)
-                       .Measure(opts.measure, "measure")
-                       .Run(w, mix, policy, config);
-    out.executed_events = out.scenario.executed_events;
-    return out;
-  };
-  return cell;
-}
-
 // One standalone-database run (the "Single" bar of Figures 3, 4 and 7),
 // wrapped into a single-measure scenario so reports read it like any cell.
 inline CampaignCell StandaloneCell(std::string id, WorkloadFactory wf, std::string mix,
@@ -166,6 +138,15 @@ inline CampaignCell ScenarioCell(std::string id, WorkloadFactory wf, std::string
     return out;
   };
   return cell;
+}
+
+// One warmup+measure run of `policy`; the result is labeled "measure".
+inline CampaignCell PolicyCell(std::string id, WorkloadFactory wf, std::string mix,
+                               std::string policy, CellOptions opts = {}) {
+  ScenarioBuilder script =
+      ScenarioBuilder().Warmup(opts.warmup).Measure(opts.measure, "measure");
+  return ScenarioCell(std::move(id), std::move(wf), std::move(mix), std::move(policy),
+                      std::move(script), std::move(opts));
 }
 
 // Builds the RunRecord table row for a cell's measure window.

@@ -1,5 +1,5 @@
 // Campaign "perf" — hot-path throughput: old-vs-new kernel and buffer pool,
-// plus representative end-to-end cells.
+// plus hot-code-coverage cells.
 //
 // Three layers of measurement, seeding the repo's bench trajectory:
 //   * event-kernel microbench: an identical self-rescheduling event storm
@@ -10,16 +10,15 @@
 //   * buffer-pool microbench: an identical scan/random/dirty touch mix run on
 //     the pre-refactor LegacyBufferPool and the intrusive-LRU BufferPool;
 //     reports touches/sec for both, the speedup, and matching checksums.
-//   * representative cells: one TPC-W and one RUBiS MALB-SC cell, timed
-//     end-to-end (host wall inside the cell), reporting simulated events/sec
-//     and cells/sec through the full stack;
-//   * hot-code-coverage cells: a churn-heavy cell (crash + recovery replay,
-//     which exercises failover rejection, the recovery pull chase, and the
-//     serial apply queue) and an update-filtering cell (the subscription
-//     test on every applied writeset), so hot-path regressions in
-//     rarely-run code show up in the perf trajectory too. (Event Cancel has
-//     no product callers; its hot-path coverage is the kernel storm's decoy
-//     cancellation traffic above.)
+//   * hot-code-coverage cells, timed end-to-end (host wall inside the cell):
+//     a churn-heavy cell (crash + recovery replay, which exercises failover
+//     rejection, the recovery pull chase, and the serial apply queue) and an
+//     update-filtering cell (the subscription test on every applied
+//     writeset), so hot-path regressions in rarely-run code show up in the
+//     perf trajectory too. (Event Cancel has no product callers; its
+//     hot-path coverage is the kernel storm's decoy cancellation traffic
+//     above.) Steady-state cell timing lives in perfbench/ (scan-evict,
+//     cache-fit), which times the same stack with best-of replays.
 //
 // Unlike every other campaign, the scalars here are HOST wall-clock derived
 // and therefore not byte-stable across runs or machines; the checksums are
@@ -40,7 +39,6 @@
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
 #include "src/storage/schema.h"
-#include "src/workload/rubis.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -332,7 +330,6 @@ CellOutput PoolOutput(const PoolOutcome& p) {
 }
 
 Workload Tpcw() { return BuildTpcw(kTpcwSmallEbs); }
-Workload Rubis() { return BuildRubis(); }
 
 // Wraps a cell so it times itself from inside: the report can quote
 // cells/sec and simulated events per host second through the full stack.
@@ -354,8 +351,8 @@ CampaignCell TimedCell(CampaignCell inner) {
   return cell;
 }
 
-// Standard knobs for the representative cells: small enough for CI, big
-// enough that the simulation dominates setup.
+// Standard knobs for the timed cells: small enough for CI, big enough that
+// the simulation dominates setup.
 bench::CellOptions PerfCellOptions(bool filtering = false) {
   bench::CellOptions opts;
   opts.ram = 256 * kMiB;
@@ -367,13 +364,7 @@ bench::CellOptions PerfCellOptions(bool filtering = false) {
   return opts;
 }
 
-CampaignCell TimedPolicyCell(std::string id, bench::WorkloadFactory wf, std::string mix,
-                             bool filtering = false) {
-  return TimedCell(bench::PolicyCell(std::move(id), std::move(wf), std::move(mix), "MALB-SC",
-                                     PerfCellOptions(filtering)));
-}
-
-// Churn-heavy representative cell: a replica crashes one minute into the
+// Churn-heavy cell: a replica crashes one minute into the
 // window and recovers two minutes later. The failover bounces racing
 // submissions to other replicas and the recovery replays the certifier log
 // through the serial apply queue — rejection, replay, and apply-pump code
@@ -424,10 +415,9 @@ std::vector<CampaignCell> Cells() {
     };
     cells.push_back(std::move(c));
   }
-  cells.push_back(TimedPolicyCell("cell/tpcw", Tpcw, kTpcwOrdering));
-  cells.push_back(TimedPolicyCell("cell/rubis", Rubis, kRubisBidding));
   cells.push_back(TimedChurnCell("cell/churn", Tpcw, kTpcwOrdering));
-  cells.push_back(TimedPolicyCell("cell/filter", Tpcw, kTpcwOrdering, /*filtering=*/true));
+  cells.push_back(TimedCell(bench::PolicyCell("cell/filter", Tpcw, kTpcwOrdering, "MALB-SC",
+                                              PerfCellOptions(/*filtering=*/true))));
   {
     CampaignCell c;
     c.id = "cell/filter-storm";
@@ -460,7 +450,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
 
   out.Begin("Perf: hot-path throughput, old vs new",
             "event storm 2M ticks / 64 actors; pool storm 400k ops / 256MB; "
-            "representative 4-replica cells (steady, churn, filtering); "
+            "4-replica churn and filtering cells; "
             "filter storm 200k writesets x 15 narrow subscriptions, mask vs TouchesAny");
 
   const double kernel_legacy = Scalar(kl, "events_per_s");
@@ -494,7 +484,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
     out.Note("pool checksums match: intrusive LRU is hit/miss identical to the legacy pool");
   }
 
-  for (const char* id : {"cell/tpcw", "cell/rubis", "cell/churn", "cell/filter"}) {
+  for (const char* id : {"cell/churn", "cell/filter"}) {
     const CellOutput& cell = r.Get(id);
     out.AddScalar(std::string(id) + " wall_s", Scalar(cell, "cell_wall_s"));
     out.AddScalar(std::string(id) + " cells_per_s", Scalar(cell, "cells_per_s"));
@@ -544,7 +534,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
 
 RegisterCampaign perf{{"perf", "", "Perf: hot-path throughput, old vs new",
                        "event storm 2M ticks / 64 actors; pool storm 400k ops / 256MB; "
-                       "representative 4-replica cells (steady, churn, filtering); "
+                       "4-replica churn and filtering cells; "
                        "filter storm 200k writesets x 15 narrow subscriptions, mask vs TouchesAny",
                        Cells, Report}};
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
-# ASan+UBSan), then exercise the campaign runner (smoke + perf campaigns) and
-# check the docs cover every campaign.
+# ASan+UBSan), run the threaded suites under ThreadSanitizer, then exercise
+# the campaign runner (smoke + perf campaigns) and check the docs cover every
+# campaign.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -18,6 +19,20 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j"$(nproc)"
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
+
+# --- ThreadSanitizer pass ----------------------------------------------------
+# The suites that run threads: the worker pool under stress, the parallel
+# campaign runner (--jobs N == --jobs 1), the calibration fan-out and its
+# shared-future dedup, and the common utilities. A TSan report makes the
+# binary exit non-zero (exitcode 66), which fails CI.
+tsan_tests="worker_pool_stress_test campaign_test calibration_test common_test"
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
+# shellcheck disable=SC2086  # word-splitting the target list is intended
+cmake --build build-tsan -j"$(nproc)" --target ${tsan_tests}
+for t in ${tsan_tests}; do
+  "./build-tsan/${t}" || { echo "ci: ${t} failed under ThreadSanitizer" >&2; exit 1; }
+done
 
 # --- determinism lint --------------------------------------------------------
 # Static gate for the `--jobs N` == `--jobs 1` bit-identity contract: no
@@ -48,7 +63,7 @@ fi
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON sinks, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
-# representative cells) must run end to end; the marathon campaign's bounded
+# churn and filtering cells) must run end to end; the marathon campaign's bounded
 # certifier log must actually be bounded; the skew campaign's fluid-client
 # inert pair must stay byte-identical; the faults campaign's zero-loss
 # ledger must hold on every cell. ONE invocation, so the manifest covers all

@@ -129,7 +129,9 @@ def render(snapshots):
     lines.append("")
     lines.append("CI re-renders this file and fails if it is stale (`--check`).")
     lines.append("Wall seconds are host measurements from whenever each baseline was")
-    lines.append("captured; cross-snapshot ratios are indicative, not lab-grade.")
+    lines.append("captured, and the snapshots were captured on different hosts, so a")
+    lines.append("cross-snapshot ratio mixes host drift with code change: it is")
+    lines.append("indicative, not lab-grade. A speed claim needs a same-host A/B.")
     lines.append("")
 
     lines.append("## Run-wide")

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <utility>
 
 #include "src/common/worker_pool.h"
 
@@ -14,10 +15,8 @@ std::atomic<int> g_calibration_fanout{1};
 double StandaloneTps(const Workload& workload, const std::string& mix_name,
                      ClusterConfig config, int clients, SimDuration warmup, SimDuration measure,
                      double* response_s) {
-  config.replicas = 1;
-  config.clients_per_replica = clients;
-  Cluster cluster(workload, mix_name, "LeastConnections", config);
-  const ExperimentResult r = cluster.Run(warmup, measure);
+  const ExperimentResult r =
+      RunStandalone(workload, mix_name, std::move(config), clients, warmup, measure);
   if (response_s != nullptr) {
     *response_s = r.mean_response_s;
   }

@@ -58,8 +58,7 @@ void WritesetArena::PruneBelow(Version floor) {
 
 // --- WritesetLog -------------------------------------------------------------
 
-const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena,
-                                    TableBitRegistry* registry) {
+const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena) {
   const uint64_t index = head_ - chunk_base_;  // global slot for version head_+1
   if (index / kChunkEntries >= chunks_.size()) {
     if (!spares_.empty()) {
@@ -82,16 +81,10 @@ const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena,
   if (slot.table_pages.spilled()) {
     slot.table_pages.MoveSpillTo(arena.Allocate(slot.table_pages.spill_bytes(), head_));
   }
-  // Interest mask: interned exactly once, here, so every later wanted-probe
-  // is a word-wise AND. A null registry yields an inexact mask and the chunk
-  // union goes inexact with it — probes fall back to TouchesAny.
+  // Interest mask: built exactly once, here, so every later wanted-probe is a
+  // word-wise AND.
   TableMask& mask = chunk.masks[index % kChunkEntries];
-  if (registry != nullptr) {
-    mask = slot.BuildMask(*registry);
-  } else {
-    mask = TableMask{};
-    mask.exact = false;
-  }
+  mask = slot.BuildMask();
   chunk.union_mask.OrWith(mask);
   return slot;
 }

@@ -90,14 +90,9 @@ class WritesetLog {
 
   // Appends the writeset as version head()+1 (ws.commit_version must already
   // say so); heap spills are re-homed into `arena`. Returns the stored entry.
-  //
-  // When `registry` is non-null the entry's TableMask is interned and stored
-  // alongside it (and OR-ed into the chunk's union mask) for the
-  // update-filtering fast path; with a null registry the entry gets an
-  // inexact empty mask, which makes every mask probe fall back to the exact
-  // TouchesAny decision — slower, never wrong.
-  const Writeset& Append(Writeset ws, WritesetArena& arena,
-                         TableBitRegistry* registry = nullptr);
+  // The entry's TableMask is built and stored alongside it (and OR-ed into
+  // the chunk's union mask) for the update-filtering fast path.
+  const Writeset& Append(Writeset ws, WritesetArena& arena);
 
   // The entry with commit version `v`; v must be in (pruned_below, head].
   const Writeset& Get(Version v) const {

@@ -545,12 +545,8 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
 
 void Proxy::SetSubscription(std::optional<RelationSet> tables) {
   subscription_ = std::move(tables);
-  // The one rebuild point of the cached mask (lazy-evaluation contract). The
-  // build interns new tables into the certifier's registry, so writeset
-  // masks appended before OR after this call stay comparable.
-  sub_mask_ = subscription_.has_value()
-                  ? BuildMask(*subscription_, certifier_->table_registry())
-                  : TableMask{};
+  // The one rebuild point of the cached mask (lazy-evaluation contract).
+  sub_mask_ = subscription_.has_value() ? BuildMask(*subscription_) : TableMask{};
 }
 
 }  // namespace tashkent

@@ -76,7 +76,7 @@ struct ProxyConfig {
   // jitter stream from its fault stream and calls ArmRetry when enabled.
   RetryPolicy retry;
   // Update-filtering fast path (src/storage/table_mask.h): decide "wanted"
-  // with the log entry's interned TableMask against the cached subscription
+  // with the log entry's stored TableMask against the cached subscription
   // mask, and skip whole certifier-log chunks whose union mask provably
   // misses the subscription. Filtering DECISIONS are identical either way —
   // the mask probe falls back to TouchesAny whenever a mask is inexact — so
@@ -175,19 +175,12 @@ class Proxy {
 
   // Installs (or clears) the update-filtering subscription. An empty optional
   // means "apply everything" (filtering off). Rebuilds the cached
-  // subscription mask (interning the tables into the certifier's registry) —
-  // the ONLY place the mask is rebuilt, which is why the wanted-probe can be
-  // a bare word-wise AND.
+  // subscription mask — the ONLY place the mask is rebuilt, which is why the
+  // wanted-probe can be a bare word-wise AND.
   void SetSubscription(std::optional<RelationSet> tables);
   const std::optional<RelationSet>& subscription() const {
     return subscription_;
   }
-  // The cached mask of subscription() (empty-exact when unsubscribed); the
-  // balancer diffs old vs new masks to find changed tables cheaply.
-  const TableMask& subscription_mask() const { return sub_mask_; }
-  // The certifier's table-id -> bit registry, for callers (the balancer)
-  // building comparable masks of their own table sets.
-  TableBitRegistry& table_registry() { return certifier_->table_registry(); }
 
   // --- Failure injection / lifecycle ----------------------------------------
   // Crash: fail-stop — the replica stops serving and in-flight work is
@@ -299,7 +292,7 @@ class Proxy {
   void EnqueueRemotes(WritesetRange remotes);
   void PumpApplier();
   // Whether log entry `ws` passes the update-filtering subscription (always,
-  // when none is installed). With mask_filtering the probe is the interned
+  // when none is installed). With mask_filtering the probe is the stored
   // mask (provably ≡ `ws.TouchesAny(*subscription_)`, see
   // src/storage/table_mask.h): a set-bit intersection is a true positive; a
   // miss decides only when both masks are exact; anything inexact falls back
@@ -372,9 +365,9 @@ class Proxy {
   int pull_attempts_ = 0;
   Simulator::EventId pull_timeout_ = Simulator::kInvalidEvent;
   std::optional<RelationSet> subscription_;
-  // Cache of subscription_'s TableMask over the certifier's registry;
-  // rebuilt only in SetSubscription (lazy-evaluation contract: probes read
-  // it at pump time, so it always reflects the CURRENT subscription).
+  // Cache of subscription_'s TableMask; rebuilt only in SetSubscription
+  // (lazy-evaluation contract: probes read it at pump time, so it always
+  // reflects the CURRENT subscription).
   TableMask sub_mask_;
   ProxyStats stats_;
 

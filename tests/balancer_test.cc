@@ -3,7 +3,9 @@
 // merging/splitting, filtering installation).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "src/balancer/lard.h"
 #include "src/balancer/malb.h"
@@ -228,6 +230,96 @@ TEST_F(MalbTest, FilteringSubscriptionsRespectAvailability) {
     }
     EXPECT_GE(copies, 2) << "table " << rel.name;
   }
+}
+
+// A subscription rebuild drops the cache of exactly the tables that entered
+// or left a replica's subscription: entering tables are stale (their updates
+// were filtered), leaving ones free their space, and every unchanged table
+// keeps its warm pages. Two rebuilds through membership changes: a crash
+// (a standby picks up the thinned group's tables) and the recovery (the
+// rejoined replica makes that standby duty unnecessary).
+TEST_F(MalbTest, SubscriptionRebuildDropsOnlyChangedTables) {
+  MalbConfig config;
+  config.update_filtering = true;
+  config.stable_ticks_for_filtering = 1;
+  config.min_copies = 2;
+  MalbBalancer malb(Ctx(), config);
+  malb.Start();
+  malb.TickForTest();
+  malb.TickForTest();
+  ASSERT_TRUE(malb.filtering_installed());
+
+  Rng rng(7);
+  auto warm_all = [&] {
+    for (auto& r : replicas_) {
+      for (const auto& rel : workload_.schema.relations()) {
+        r->pool().TouchRandom(rel, 2, rng);
+      }
+    }
+  };
+  struct Snapshot {
+    std::optional<RelationSet> subscription;
+    std::vector<Pages> resident;  // indexed by RelationId
+  };
+  auto snapshot = [&] {
+    std::vector<Snapshot> out;
+    for (size_t r = 0; r < proxies_.size(); ++r) {
+      Snapshot s;
+      s.subscription = proxies_[r]->subscription();
+      for (const auto& rel : workload_.schema.relations()) {
+        s.resident.push_back(replicas_[r]->pool().ResidentPages(rel.id));
+      }
+      out.push_back(std::move(s));
+    }
+    return out;
+  };
+  size_t entered = 0;
+  size_t left = 0;
+  auto rebuild_and_check = [&] {
+    warm_all();
+    const std::vector<Snapshot> before = snapshot();
+    malb.TickForTest();
+    const std::vector<Snapshot> after = snapshot();
+    for (size_t r = 0; r < proxies_.size(); ++r) {
+      ASSERT_TRUE(before[r].subscription.has_value());
+      ASSERT_TRUE(after[r].subscription.has_value());
+      for (const auto& rel : workload_.schema.relations()) {
+        const bool was_in = before[r].subscription->contains(rel.id);
+        const bool now_in = after[r].subscription->contains(rel.id);
+        if (was_in != now_in) {
+          (now_in ? entered : left) += 1;
+          EXPECT_EQ(after[r].resident[rel.id], 0)
+              << "replica " << r << " kept stale pages of " << rel.name;
+        } else {
+          EXPECT_GT(before[r].resident[rel.id], 0);
+          EXPECT_EQ(after[r].resident[rel.id], before[r].resident[rel.id])
+              << "replica " << r << " lost warm pages of unchanged " << rel.name;
+        }
+      }
+    }
+  };
+
+  // Crash a member of a two-replica group: the survivor alone is below
+  // min_copies, so another replica subscribes to the group's tables.
+  size_t victim = proxies_.size();
+  for (const auto& g : malb.runtime_groups()) {
+    if (g.replicas.size() == 2) {
+      victim = g.replicas[0];
+      break;
+    }
+  }
+  ASSERT_LT(victim, proxies_.size());
+  proxies_[victim]->Crash();
+  rebuild_and_check();
+  EXPECT_GT(entered, 0u);
+
+  // Recovery over an empty log completes well inside one allocation period;
+  // the next tick adopts the replica back and the standby duty is released.
+  proxies_[victim]->Recover();
+  sim_.RunUntil(sim_.Now() + Seconds(1.0));
+  ASSERT_TRUE(proxies_[victim]->available());
+  rebuild_and_check();
+  EXPECT_GT(left, 0u);
 }
 
 TEST_F(MalbTest, FrozenAllocationNeverMoves) {

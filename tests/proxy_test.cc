@@ -398,11 +398,11 @@ TEST_F(ProxyTest, MaskSkipEngagesOnNarrowSubscription) {
   EXPECT_EQ(replicas_[1]->stats().writesets_applied, 0u);
 }
 
-TEST(ProxyMaskOverflow, OverflowedRegistryFallsBackAndNeverMisfilters) {
-  // More tables than TableMask::kBits: tables interned after the registry
-  // fills get no bit, subscriptions touching them build inexact masks, and
-  // every wanted-decision involving them must fall back to TouchesAny —
-  // filtering stays correct, only the fast path degrades.
+TEST(ProxyMaskOverflow, HighTableIdsFallBackAndNeverMisfilter) {
+  // More tables than TableMask::kBits: tables whose RelationId is >= kBits
+  // get no bit, subscriptions touching them build inexact masks, and every
+  // wanted-decision involving them must fall back to TouchesAny — filtering
+  // stays correct, only the fast path degrades.
   Simulator sim;
   Schema schema;
   const int kTables = static_cast<int>(TableMask::kBits) + 24;
@@ -433,20 +433,20 @@ TEST(ProxyMaskOverflow, OverflowedRegistryFallsBackAndNeverMisfilters) {
     update_on.push_back(ty);
   }
 
-  // One update per table from replica 0 overflows the registry: bits are
-  // assigned in commit order, so the high-numbered tables get none.
+  // One update per table from replica 0; the last 24 tables have no bit.
   for (int t = 0; t < kTables; ++t) {
     p0.SubmitTransaction(update_on[static_cast<size_t>(t)], [](bool) {});
     sim.RunAll();
   }
-  ASSERT_TRUE(cert.table_registry().full());
   const RelationId wanted = tables[static_cast<size_t>(kTables - 1)];  // no bit
-  ASSERT_EQ(cert.table_registry().BitOf(wanted), TableBitRegistry::kNoBit);
+  ASSERT_GE(wanted, TableMask::kBits);
+  ASSERT_FALSE(cert.LogMask(static_cast<Version>(kTables)).exact);
+  ASSERT_TRUE(cert.LogMask(1).exact);
 
   // Subscribe replica 1 to an overflowed table: its mask is inexact by
   // construction, so zero mask intersections prove nothing for it.
   p1.SetSubscription(RelationSet{wanted});
-  ASSERT_FALSE(p1.subscription_mask().exact);
+  ASSERT_FALSE(BuildMask(*p1.subscription()).exact);
   p1.OnProd();  // registers replica 1 and replays the backlog
   sim.RunAll();
   const uint64_t applied_after_backlog = p1.stats().writesets_applied;

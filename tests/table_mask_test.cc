@@ -1,9 +1,9 @@
 // Unit tests for the update-filtering fast path's bit layer
-// (src/storage/table_mask.h): mask algebra, the table-id -> bit registry,
-// overflow degradation, and — the load-bearing one — a randomized
+// (src/storage/table_mask.h): mask algebra, the bit-b-is-RelationId-b rule,
+// degradation for ids past kBits, and — the load-bearing one — a randomized
 // differential proving the mask wanted-decision is exactly
-// Writeset::TouchesAny on every subscription the registry can represent, and
-// never a false negative on the ones it cannot.
+// Writeset::TouchesAny on every subscription a mask can represent, and never
+// a false negative on the ones it cannot.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -55,70 +55,38 @@ TEST(TableMask, SetTestOrAndIntersect) {
   EXPECT_TRUE(u.exact);
 }
 
-TEST(TableMask, CoversAndXor) {
-  TableMask outer;
-  outer.Set(3);
-  outer.Set(70);
-  TableMask inner;
-  inner.Set(70);
-  EXPECT_TRUE(Covers(outer, inner));
-  EXPECT_FALSE(Covers(inner, outer));
-  inner.Set(200);
-  EXPECT_FALSE(Covers(outer, inner));
-
-  const TableMask diff = MaskXor(outer, inner);
-  EXPECT_TRUE(diff.Test(3));
-  EXPECT_TRUE(diff.Test(200));
-  EXPECT_FALSE(diff.Test(70));
-  EXPECT_TRUE(diff.exact);
-  TableMask inexact = inner;
-  inexact.exact = false;
-  EXPECT_FALSE(MaskXor(outer, inexact).exact);
-}
-
-TEST(TableBitRegistry, InternIsStableAndOrdered) {
-  TableBitRegistry reg;
-  EXPECT_EQ(reg.Intern(40), 0u);
-  EXPECT_EQ(reg.Intern(7), 1u);
-  EXPECT_EQ(reg.Intern(40), 0u);  // bits never move once assigned
-  EXPECT_EQ(reg.BitOf(7), 1u);
-  EXPECT_EQ(reg.BitOf(999), TableBitRegistry::kNoBit);
-  EXPECT_EQ(reg.interned(), 2u);
-  EXPECT_FALSE(reg.full());
-}
-
-TEST(TableBitRegistry, OverflowYieldsNoBitAndInexactMasks) {
-  TableBitRegistry reg;
-  for (uint32_t id = 0; id < TableMask::kBits; ++id) {
-    EXPECT_NE(reg.Intern(id), TableBitRegistry::kNoBit);
+TEST(TableMask, BitIsRelationIdAndHighIdsGoInexact) {
+  // Masks built independently, with no shared state, agree bit for bit.
+  const RelationSet set{3, 70, 200};
+  const TableMask a = BuildMask(set);
+  const TableMask b = BuildMask(RelationSet{200, 70, 3});
+  EXPECT_TRUE(a.exact);
+  for (uint32_t bit = 0; bit < TableMask::kBits; ++bit) {
+    EXPECT_EQ(a.Test(bit), set.contains(bit)) << "bit " << bit;
+    EXPECT_EQ(a.Test(bit), b.Test(bit)) << "bit " << bit;
   }
-  EXPECT_TRUE(reg.full());
-  // The 257th table gets no bit — and never will, even on re-intern.
-  EXPECT_EQ(reg.Intern(TableMask::kBits), TableBitRegistry::kNoBit);
-  EXPECT_EQ(reg.Intern(TableMask::kBits), TableBitRegistry::kNoBit);
-  EXPECT_EQ(reg.interned(), TableMask::kBits);
 
-  // A set containing the overflowed table builds an INEXACT mask: its set
-  // bits remain true positives but a zero intersection proves nothing.
-  RelationSet with_overflow{0, TableMask::kBits};
-  const TableMask m = BuildMask(with_overflow, reg);
-  EXPECT_FALSE(m.exact);
-  EXPECT_TRUE(m.Test(reg.BitOf(0)));
-
-  // A set of fully-interned tables still builds exact.
-  RelationSet clean{1, 2};
-  EXPECT_TRUE(BuildMask(clean, reg).exact);
+  // An id >= kBits has no bit: the mask goes INEXACT, its set bits remain
+  // true positives, and a zero intersection proves nothing.
+  const TableMask high = BuildMask(RelationSet{0, TableMask::kBits});
+  EXPECT_FALSE(high.exact);
+  EXPECT_TRUE(high.Test(0));
+  EXPECT_FALSE(high.Test(1));
+  EXPECT_TRUE(BuildMask(RelationSet{0, TableMask::kBits - 1}).exact);
 }
 
 TEST(TableMask, WritesetBuildMaskMatchesTablePages) {
-  TableBitRegistry reg;
   Writeset ws;
   ws.table_pages = {{11, 2}, {4, 1}};
-  const TableMask m = ws.BuildMask(reg);
+  const TableMask m = ws.BuildMask();
   EXPECT_TRUE(m.exact);
-  EXPECT_TRUE(m.Test(reg.BitOf(11)));
-  EXPECT_TRUE(m.Test(reg.BitOf(4)));
-  EXPECT_EQ(reg.interned(), 2u);
+  EXPECT_TRUE(m.Test(11));
+  EXPECT_TRUE(m.Test(4));
+  EXPECT_FALSE(m.Test(5));
+  EXPECT_TRUE(Intersects(m, BuildMask(RelationSet{4})));
+
+  ws.table_pages.push_back({TableMask::kBits + 7, 1});
+  EXPECT_FALSE(ws.BuildMask().exact);
 }
 
 TEST(TableMask, ForEachMaskBitVisitsAscendingBits) {
@@ -134,24 +102,16 @@ TEST(TableMask, ForEachMaskBitVisitsAscendingBits) {
 
 // The equivalence contract, brute-forced: over random table universes
 // (including ones bigger than the mask), random writesets, and random
-// subscriptions — with interleaved intern orders, so subscription bits are
-// assigned before, between, and after writeset bits —
+// subscriptions —
 //   * both masks exact  => Intersects(ws, sub) == ws.TouchesAny(sub);
 //   * any mask inexact  => Intersects(ws, sub) implies ws.TouchesAny(sub)
 //     (true positives only; the decision falls back to TouchesAny).
 TEST(TableMaskDifferential, MaskWantedEquivalentToTouchesAny) {
   Rng rng(20260807);
   for (int round = 0; round < 200; ++round) {
-    // Universe sometimes exceeds kBits so overflow paths are exercised.
+    // Universe sometimes exceeds kBits so the inexact paths are exercised.
     const uint32_t universe =
         16 + static_cast<uint32_t>(rng.NextBelow(2 * TableMask::kBits));
-    TableBitRegistry reg;
-    // Pre-intern a random prefix, like a cluster whose certifier already saw
-    // traffic before this subscription was installed.
-    const uint32_t preload = static_cast<uint32_t>(rng.NextBelow(universe));
-    for (uint32_t i = 0; i < preload; ++i) {
-      reg.Intern(static_cast<RelationId>(rng.NextBelow(universe)));
-    }
     for (int probe = 0; probe < 50; ++probe) {
       Writeset ws;
       const uint64_t touches = 1 + rng.NextBelow(5);
@@ -164,16 +124,8 @@ TEST(TableMaskDifferential, MaskWantedEquivalentToTouchesAny) {
       for (uint64_t t = 0; t < width; ++t) {
         sub.insert(static_cast<RelationId>(rng.NextBelow(universe)));
       }
-      // Half the time the subscription interns first (SetSubscription before
-      // the writeset commits), half after (subscription change mid-stream).
-      TableMask sub_mask, ws_mask;
-      if (rng.NextBelow(2) == 0) {
-        sub_mask = BuildMask(sub, reg);
-        ws_mask = ws.BuildMask(reg);
-      } else {
-        ws_mask = ws.BuildMask(reg);
-        sub_mask = BuildMask(sub, reg);
-      }
+      const TableMask sub_mask = BuildMask(sub);
+      const TableMask ws_mask = ws.BuildMask();
       const bool truth = ws.TouchesAny(sub);
       const bool hit = Intersects(ws_mask, sub_mask);
       if (hit) {
