@@ -1,24 +1,25 @@
-// Campaign "perf" — hot-path throughput: old-vs-new kernel and buffer pool,
-// plus hot-code-coverage cells.
+// Campaign "perf" — hot-path throughput of the event kernel, the buffer pool
+// and the update-filtering probe, each with an exact equivalence check.
 //
-// Three layers of measurement, seeding the repo's bench trajectory:
-//   * event-kernel microbench: an identical self-rescheduling event storm
-//     (with decoy scheduling + cancellation traffic) run on the pre-refactor
-//     LegacySimulator and the slab Simulator; reports events/sec for both and
-//     the speedup. Order-sensitive checksums from the two kernels must match,
-//     proving the slab kernel replays the exact same execution.
-//   * buffer-pool microbench: an identical scan/random/dirty touch mix run on
-//     the pre-refactor LegacyBufferPool and the intrusive-LRU BufferPool;
-//     reports touches/sec for both, the speedup, and matching checksums.
-//   * hot-code-coverage cells, timed end-to-end (host wall inside the cell):
-//     a churn-heavy cell (crash + recovery replay, which exercises failover
-//     rejection, the recovery pull chase, and the serial apply queue) and an
-//     update-filtering cell (the subscription test on every applied
-//     writeset), so hot-path regressions in rarely-run code show up in the
-//     perf trajectory too. (Event Cancel has no product callers; its
-//     hot-path coverage is the kernel storm's decoy cancellation traffic
-//     above.) Steady-state cell timing lives in perfbench/ (scan-evict,
-//     cache-fit), which times the same stack with best-of replays.
+// Three storms, each timed on the host:
+//   * event-kernel storm: a self-rescheduling event storm with decoy
+//     scheduling + cancellation traffic on the slab Simulator; reports
+//     events/sec. Its order-sensitive checksum must equal kKernelStormPin,
+//     the checksum the pre-slab kernel (hash map + lazily-cancelled heap)
+//     produced on the same storm, proving the slab kernel replays the exact
+//     same execution.
+//   * buffer-pool storm: a scan/random/dirty touch mix on the intrusive-LRU
+//     BufferPool; reports touches/sec. Its checksum must equal kPoolStormPin,
+//     the pre-refactor std::list LRU's checksum on the same mix, proving
+//     hit/miss identity.
+//   * filter storm: the update-filtering wanted-probe under many narrow
+//     subscriptions, run with the TableMask fast path and with
+//     ProxyConfig::mask_filtering=false (the TouchesAny reference path);
+//     the two must make identical filtering decisions.
+// The cancellation traffic matters: Proxy timeouts and FluidClientPool
+// arrivals call Simulator::Cancel, and the kernel storm is where its cost is
+// timed. Steady-state cell timing lives in perfbench/ (scan-evict, cache-fit,
+// write-churn), which times the full stack with best-of replays.
 //
 // Unlike every other campaign, the scalars here are HOST wall-clock derived
 // and therefore not byte-stable across runs or machines; the checksums are
@@ -26,6 +27,8 @@
 // note, and the golden-digest determinism test deliberately excludes this
 // campaign.
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -33,13 +36,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench/legacy_baseline.h"
 #include "src/certifier/certifier.h"
+#include "src/common/rng.h"
 #include "src/proxy/proxy.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
+#include "src/storage/buffer_pool.h"
+#include "src/storage/relation.h"
 #include "src/storage/schema.h"
-#include "src/workload/tpcw.h"
 
 namespace tashkent {
 namespace {
@@ -53,12 +57,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 // Drives `actors` self-rescheduling chains until `target` ticks have fired,
 // with a side stream of decoy events of which every other one is cancelled —
-// the schedule/fire/cancel mix the cluster generates. The same seed produces
-// the same operation sequence on either kernel; `checksum` folds in the clock
-// at every tick so any divergence in event ordering is caught.
-template <typename Sim>
+// the schedule/fire/cancel mix the cluster generates. `checksum` folds in the
+// clock at every tick so any divergence in event ordering is caught.
 struct StormDriver {
-  Sim sim;
+  Simulator sim;
   Rng rng;
   uint64_t ticks = 0;
   uint64_t target;
@@ -67,7 +69,7 @@ struct StormDriver {
   size_t ring_pos = 0;
 
   StormDriver(uint64_t seed, uint64_t target_ticks)
-      : rng(seed), target(target_ticks), cancel_ring(64, Sim::kInvalidEvent) {}
+      : rng(seed), target(target_ticks), cancel_ring(64, Simulator::kInvalidEvent) {}
 
   void Tick(int actor) {
     ++ticks;
@@ -88,7 +90,7 @@ struct StormDriver {
       const uint64_t displaced = cancel_ring[ring_pos];
       cancel_ring[ring_pos] = id;
       ring_pos = (ring_pos + 1) % cancel_ring.size();
-      if (displaced != Sim::kInvalidEvent) {
+      if (displaced != Simulator::kInvalidEvent) {
         sim.Cancel(displaced);
       }
     }
@@ -102,9 +104,8 @@ struct StormOutcome {
   uint64_t checksum = 0;
 };
 
-template <typename Sim>
 StormOutcome RunStorm(uint64_t seed, int actors, uint64_t target_ticks) {
-  StormDriver<Sim> driver(seed, target_ticks);
+  StormDriver driver(seed, target_ticks);
   for (int a = 0; a < actors; ++a) {
     driver.sim.ScheduleAt(static_cast<SimTime>(a + 1), [d = &driver, a]() { d->Tick(a); });
   }
@@ -142,8 +143,8 @@ struct PoolOutcome {
 
 // The touch mix one replica generates: mostly random point reads, a quarter
 // writes, a slice of windowed scans, periodic flush draining.
-template <typename Pool>
-PoolOutcome RunPoolStorm(Pool& pool, uint64_t seed, int iters) {
+PoolOutcome RunPoolStorm(Bytes pool_bytes, uint64_t seed, int iters) {
+  BufferPool pool(pool_bytes);
   const std::vector<RelationMeta> rels = PoolRelations();
   const AccessSkew skew;
   Rng rng(seed);
@@ -310,126 +311,66 @@ constexpr uint64_t kStormTicks = 2'000'000;
 constexpr int kPoolIters = 400'000;
 constexpr Bytes kPoolBytes = 256 * kMiB;
 
+// Full 64-bit checksums the pre-refactor implementations produced on the
+// storms above: the hash-map + lazily-cancelled-heap event kernel
+// (2,150,746 executed events) and the std::list + unordered_map LRU
+// (21,576,990 touches). Equality with them is the exact-replay check.
+// Changing a pin, or a storm parameter it depends on, needs a reason stated
+// in CHANGES.md, as regenerating the golden digest does.
+constexpr uint64_t kKernelStormPin = 0xb3b2d4410e4fdda8ull;
+constexpr uint64_t kPoolStormPin = 0x4df3f781b96ac8edull;
+
+// Throwing fails the cell (campaign.cc records the error and counts a failed
+// cell), which fails the tashkent_bench exit code.
+void CheckPin(const char* storm, uint64_t checksum, uint64_t pin) {
+  if (checksum != pin) {
+    throw std::runtime_error(std::string(storm) + " storm checksum " +
+                             std::to_string(checksum) + " differs from its pin " +
+                             std::to_string(pin) +
+                             ": the execution is no longer the pinned one");
+  }
+}
+
 CellOutput KernelOutput(const StormOutcome& s) {
+  CheckPin("kernel", s.checksum, kKernelStormPin);
   CellOutput out;
   out.scalars.emplace_back("events_per_s", s.events_per_s);
   out.scalars.emplace_back("wall_s", s.wall_s);
   out.scalars.emplace_back("executed_events", static_cast<double>(s.executed));
-  out.scalars.emplace_back("checksum", static_cast<double>(s.checksum % (1ull << 52)));
   out.executed_events = s.executed;
   return out;
 }
 
 CellOutput PoolOutput(const PoolOutcome& p) {
+  CheckPin("pool", p.checksum, kPoolStormPin);
   CellOutput out;
   out.scalars.emplace_back("touches_per_s", p.touches_per_s);
   out.scalars.emplace_back("wall_s", p.wall_s);
   out.scalars.emplace_back("touches", static_cast<double>(p.touches));
-  out.scalars.emplace_back("checksum", static_cast<double>(p.checksum % (1ull << 52)));
   return out;
 }
 
-Workload Tpcw() { return BuildTpcw(kTpcwSmallEbs); }
-
-// Wraps a cell so it times itself from inside: the report can quote
-// cells/sec and simulated events per host second through the full stack.
-CampaignCell TimedCell(CampaignCell inner) {
-  CampaignCell cell;
-  cell.id = inner.id;
-  cell.run = [run = std::move(inner.run)](uint64_t seed) {
-    // lint: allow(wall-clock) throughput timing; scalars are documented as host-dependent
-    const auto start = std::chrono::steady_clock::now();
-    CellOutput out = run(seed);
-    const double wall = SecondsSince(start);
-    out.scalars.emplace_back("cell_wall_s", wall);
-    out.scalars.emplace_back("cells_per_s", wall > 0 ? 1.0 / wall : 0.0);
-    out.scalars.emplace_back(
-        "sim_events_per_s",
-        wall > 0 ? static_cast<double>(out.executed_events) / wall : 0.0);
-    return out;
-  };
-  return cell;
-}
-
-// Standard knobs for the timed cells: small enough for CI, big enough that
-// the simulation dominates setup.
-bench::CellOptions PerfCellOptions(bool filtering = false) {
-  bench::CellOptions opts;
-  opts.ram = 256 * kMiB;
-  opts.replicas = 4;
-  opts.filtering = filtering;
-  opts.clients = 4;  // fixed population: no calibration sweep in a perf cell
-  opts.warmup = Seconds(30.0);
-  opts.measure = Seconds(120.0);
-  return opts;
-}
-
-// Churn-heavy cell: a replica crashes one minute into the
-// window and recovers two minutes later. The failover bounces racing
-// submissions to other replicas and the recovery replays the certifier log
-// through the serial apply queue — rejection, replay, and apply-pump code
-// paths that steady-state cells barely touch.
-CampaignCell TimedChurnCell(std::string id, bench::WorkloadFactory wf, std::string mix) {
-  ScenarioBuilder script = ScenarioBuilder()
-                               .Warmup(Seconds(30.0))
-                               .KillReplicaAt(Seconds(60.0), 1)
-                               .RecoverReplicaAt(Seconds(180.0), 1)
-                               .Measure(Seconds(300.0), "measure");
-  return TimedCell(bench::ScenarioCell(std::move(id), std::move(wf), std::move(mix),
-                                       "MALB-SC", std::move(script), PerfCellOptions()));
+CampaignCell Cell(std::string id, std::function<CellOutput()> run) {
+  CampaignCell c;
+  c.id = std::move(id);
+  c.run = [run = std::move(run)](uint64_t) { return run(); };
+  return c;
 }
 
 std::vector<CampaignCell> Cells() {
   std::vector<CampaignCell> cells;
-  {
-    CampaignCell c;
-    c.id = "kernel/legacy";
-    c.run = [](uint64_t) {
-      return KernelOutput(RunStorm<legacy::LegacySimulator>(kStormSeed, kStormActors, kStormTicks));
-    };
-    cells.push_back(std::move(c));
-  }
-  {
-    CampaignCell c;
-    c.id = "kernel/slab";
-    c.run = [](uint64_t) {
-      return KernelOutput(RunStorm<Simulator>(kStormSeed, kStormActors, kStormTicks));
-    };
-    cells.push_back(std::move(c));
-  }
-  {
-    CampaignCell c;
-    c.id = "pool/legacy";
-    c.run = [](uint64_t) {
-      legacy::LegacyBufferPool pool(kPoolBytes);
-      return PoolOutput(RunPoolStorm(pool, kStormSeed, kPoolIters));
-    };
-    cells.push_back(std::move(c));
-  }
-  {
-    CampaignCell c;
-    c.id = "pool/slab";
-    c.run = [](uint64_t) {
-      BufferPool pool(kPoolBytes);
-      return PoolOutput(RunPoolStorm(pool, kStormSeed, kPoolIters));
-    };
-    cells.push_back(std::move(c));
-  }
-  cells.push_back(TimedChurnCell("cell/churn", Tpcw, kTpcwOrdering));
-  cells.push_back(TimedCell(bench::PolicyCell("cell/filter", Tpcw, kTpcwOrdering, "MALB-SC",
-                                              PerfCellOptions(/*filtering=*/true))));
-  {
-    CampaignCell c;
-    c.id = "cell/filter-storm";
-    c.run = [](uint64_t) { return FilterStormOutput(RunFilterStorm(/*mask_filtering=*/true)); };
-    cells.push_back(std::move(c));
-  }
-  {
-    CampaignCell c;
-    c.id = "cell/filter-storm-legacy";
-    c.run = [](uint64_t) { return FilterStormOutput(RunFilterStorm(/*mask_filtering=*/false)); };
-    cells.push_back(std::move(c));
-  }
+  cells.push_back(Cell("kernel/slab", [] {
+    return KernelOutput(RunStorm(kStormSeed, kStormActors, kStormTicks));
+  }));
+  cells.push_back(Cell("pool/slab", [] {
+    return PoolOutput(RunPoolStorm(kPoolBytes, kStormSeed, kPoolIters));
+  }));
+  cells.push_back(Cell("cell/filter-storm", [] {
+    return FilterStormOutput(RunFilterStorm(/*mask_filtering=*/true));
+  }));
+  cells.push_back(Cell("cell/filter-storm-legacy", [] {
+    return FilterStormOutput(RunFilterStorm(/*mask_filtering=*/false));
+  }));
   return cells;
 }
 
@@ -442,61 +383,20 @@ double Scalar(const CellOutput& cell, const std::string& key) {
   return 0.0;
 }
 
+constexpr const char* kPerfSetup =
+    "event storm 2M ticks / 64 actors; pool storm 400k ops / 256MB, both checked "
+    "against pinned checksums; filter storm 200k writesets x 15 narrow "
+    "subscriptions, mask vs TouchesAny";
+
 void Report(const CampaignOutputs& r, ResultSink& out) {
-  const CellOutput& kl = r.Get("kernel/legacy");
-  const CellOutput& ks = r.Get("kernel/slab");
-  const CellOutput& pl = r.Get("pool/legacy");
-  const CellOutput& ps = r.Get("pool/slab");
+  out.Begin("Perf: hot-path throughput", kPerfSetup);
 
-  out.Begin("Perf: hot-path throughput, old vs new",
-            "event storm 2M ticks / 64 actors; pool storm 400k ops / 256MB; "
-            "4-replica churn and filtering cells; "
-            "filter storm 200k writesets x 15 narrow subscriptions, mask vs TouchesAny");
-
-  const double kernel_legacy = Scalar(kl, "events_per_s");
-  const double kernel_slab = Scalar(ks, "events_per_s");
-  out.AddScalar("kernel legacy events_per_s", kernel_legacy);
-  out.AddScalar("kernel slab events_per_s", kernel_slab);
-  out.AddScalar("kernel speedup (slab / legacy)",
-                kernel_legacy > 0 ? kernel_slab / kernel_legacy : 0.0);
-  if (Scalar(kl, "checksum") != Scalar(ks, "checksum")) {
-    // Throwing fails the cell (campaign.cc records report_error and bumps
-    // failed_cells), which fails the tashkent_bench exit code — the CI gate
-    // is this exception, not a grep over the report text.
-    throw std::runtime_error(
-        "kernel checksums diverge — slab kernel is NOT replaying the legacy "
-        "execution; speedup number is not comparable");
-  } else {
-    out.Note("kernel checksums match: slab kernel replays the legacy execution exactly");
-  }
-
-  const double pool_legacy = Scalar(pl, "touches_per_s");
-  const double pool_slab = Scalar(ps, "touches_per_s");
-  out.AddScalar("pool legacy touches_per_s", pool_legacy);
-  out.AddScalar("pool slab touches_per_s", pool_slab);
-  out.AddScalar("pool speedup (slab / legacy)",
-                pool_legacy > 0 ? pool_slab / pool_legacy : 0.0);
-  if (Scalar(pl, "checksum") != Scalar(ps, "checksum")) {
-    throw std::runtime_error(
-        "pool checksums diverge — intrusive LRU is NOT hit/miss identical to "
-        "the legacy pool; speedup number is not comparable");
-  } else {
-    out.Note("pool checksums match: intrusive LRU is hit/miss identical to the legacy pool");
-  }
-
-  for (const char* id : {"cell/churn", "cell/filter"}) {
-    const CellOutput& cell = r.Get(id);
-    out.AddScalar(std::string(id) + " wall_s", Scalar(cell, "cell_wall_s"));
-    out.AddScalar(std::string(id) + " cells_per_s", Scalar(cell, "cells_per_s"));
-    out.AddScalar(std::string(id) + " sim_events_per_s", Scalar(cell, "sim_events_per_s"));
-  }
-  // The churn cell's recovery must actually have happened, or it is not
-  // exercising the Cancel/replay paths it exists for.
-  if (r.Get("cell/churn").Result().recoveries == 0) {
-    throw std::runtime_error(
-        "cell/churn completed no recovery — the churn cell is not exercising "
-        "the replay path");
-  }
+  out.AddScalar("kernel slab events_per_s", Scalar(r.Get("kernel/slab"), "events_per_s"));
+  out.Note("kernel checksum matches its pin: the slab kernel replays the pre-slab "
+           "kernel's execution exactly");
+  out.AddScalar("pool slab touches_per_s", Scalar(r.Get("pool/slab"), "touches_per_s"));
+  out.Note("pool checksum matches its pin: the intrusive LRU is hit/miss identical "
+           "to the pre-refactor pool");
 
   // Filter storm: the mask fast path against the frozen TouchesAny baseline.
   // The checksum folds every filtering DECISION (applied/filtered counts,
@@ -532,11 +432,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
            "the only deterministic outputs (excluded from golden-digest checks)");
 }
 
-RegisterCampaign perf{{"perf", "", "Perf: hot-path throughput, old vs new",
-                       "event storm 2M ticks / 64 actors; pool storm 400k ops / 256MB; "
-                       "4-replica churn and filtering cells; "
-                       "filter storm 200k writesets x 15 narrow subscriptions, mask vs TouchesAny",
-                       Cells, Report}};
+RegisterCampaign perf{{"perf", "", "Perf: hot-path throughput", kPerfSetup, Cells, Report}};
 
 }  // namespace
 }  // namespace tashkent

@@ -62,14 +62,14 @@ fi
 # --- smoke + perf + marathon + skew + faults campaigns -----------------------
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON sinks, and the merged manifest all have to work; the perf campaign's
-# old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
-# churn and filtering cells) must run end to end; the marathon campaign's bounded
+# storms (kernel and pool checksums against their pins, the filter-storm
+# mask-vs-TouchesAny pair) must run end to end; the marathon campaign's bounded
 # certifier log must actually be bounded; the skew campaign's fluid-client
 # inert pair must stay byte-identical; the faults campaign's zero-loss
 # ledger must hold on every cell. ONE invocation, so the manifest covers all
 # five campaigns and the perf_diff step below can compare them against the
 # baseline (each invocation rewrites BENCH_campaign.json from scratch). The
-# in-bench checks (perf checksums, the churn cell's recovery, the faults
+# in-bench checks (perf checksum pins, the filter-storm pair, the faults
 # ledger) throw, which fails the cell and the binary's exit code.
 rm -rf build/bench-out
 mkdir -p build/bench-out

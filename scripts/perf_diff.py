@@ -15,8 +15,11 @@ both:
     sentence in the PR either way)
 
 plus per-cell events/sec for cells whose ratio moved more than the
-threshold, and run-wide totals. Campaigns present in only one manifest are
-listed, not compared.
+threshold, and run-wide totals. Every sum runs over the cells BOTH manifests
+ran: a cell present in only one (added, or deleted since the baseline was
+captured) would otherwise shift the campaign and run-wide ratios, and with
+them every --fail-cell-below floor. Campaigns and cells present in only one
+manifest are listed, not compared.
 
 Wall-second numbers are HOST measurements: they vary with machine and
 concurrent load, so this is a report step, not a hard gate — CI prints the
@@ -48,29 +51,24 @@ def load_manifest(path):
     return doc
 
 
-def campaign_stats(doc):
-    out = {}
-    for c in doc.get("campaigns", []):
-        cells = c.get("cells", [])
-        wall = sum(cell.get("wall_s", 0.0) for cell in cells)
-        events = sum(cell.get("executed_events", 0) for cell in cells)
-        out[c["name"]] = {
-            "cells": len(cells),
-            "failed": sum(0 if cell.get("ok") else 1 for cell in cells),
-            "wall_s": wall,
-            "events": events,
-            "cells_per_s": len(cells) / wall if wall > 0 else 0.0,
-            "events_per_s": events / wall if wall > 0 else 0.0,
-            "by_cell": {
-                cell["id"]: {
-                    "wall_s": cell.get("wall_s", 0.0),
-                    "events": cell.get("executed_events", 0),
-                    "events_per_s": cell.get("events_per_s", 0.0),
-                }
-                for cell in cells
-            },
-        }
-    return out
+def campaign_cells(doc):
+    """{campaign: {cell_id: cell}} in manifest order."""
+    return {c["name"]: {cell["id"]: cell for cell in c.get("cells", [])}
+            for c in doc.get("campaigns", [])}
+
+
+def summarize(cells):
+    """Wall, events and rates summed over `cells`, a list of manifest cells."""
+    wall = sum(cell.get("wall_s", 0.0) for cell in cells)
+    events = sum(cell.get("executed_events", 0) for cell in cells)
+    return {
+        "cells": len(cells),
+        "failed": sum(0 if cell.get("ok") else 1 for cell in cells),
+        "wall_s": wall,
+        "events": events,
+        "cells_per_s": len(cells) / wall if wall > 0 else 0.0,
+        "events_per_s": events / wall if wall > 0 else 0.0,
+    }
 
 
 def fmt_ratio(new, old):
@@ -94,8 +92,8 @@ def main():
                          "the run-wide ratio, drops below RATIO (repeatable)")
     args = ap.parse_args()
 
-    base = campaign_stats(load_manifest(args.baseline))
-    cur = campaign_stats(load_manifest(args.current))
+    base = campaign_cells(load_manifest(args.baseline))
+    cur = campaign_cells(load_manifest(args.current))
 
     shared = sorted(set(base) & set(cur))
     only_base = sorted(set(base) - set(cur))
@@ -106,8 +104,15 @@ def main():
           f"{'ratio':>7} {'cells/s ratio':>13}")
     total_base_wall = total_cur_wall = 0.0
     total_base_events = total_cur_events = 0
+    unmatched_cells = []
     for name in shared:
-        b, c = base[name], cur[name]
+        common = [cid for cid in cur[name] if cid in base[name]]
+        unmatched_cells += [(name, cid, "baseline") for cid in base[name]
+                            if cid not in cur[name]]
+        unmatched_cells += [(name, cid, "current") for cid in cur[name]
+                            if cid not in base[name]]
+        b = summarize([base[name][cid] for cid in common])
+        c = summarize([cur[name][cid] for cid in common])
         total_base_wall += b["wall_s"]
         total_cur_wall += c["wall_s"]
         total_base_events += b["events"]
@@ -125,19 +130,21 @@ def main():
             print(f"{'':<12}   executed events changed: {b['events']:.0f} -> "
                   f"{c['events']:.0f} ({delta:+.0f}; deterministic — the "
                   f"simulation's event count itself changed)")
-        for cid in sorted(set(b["by_cell"]) & set(c["by_cell"])):
-            bb, cc = b["by_cell"][cid], c["by_cell"][cid]
-            if bb["events_per_s"] <= 0:
+        for cid in sorted(common):
+            b_rate = base[name][cid].get("events_per_s", 0.0)
+            c_rate = cur[name][cid].get("events_per_s", 0.0)
+            if b_rate <= 0:
                 continue
-            ratio = cc["events_per_s"] / bb["events_per_s"]
+            ratio = c_rate / b_rate
             if abs(ratio - 1.0) >= args.threshold:
-                print(f"{'':<12}   {cid:<28} {bb['events_per_s']:>11.0f}->"
-                      f"{cc['events_per_s']:<11.0f} {ratio:6.2f}x")
+                print(f"{'':<12}   {cid:<28} {b_rate:>11.0f}->{c_rate:<11.0f} {ratio:6.2f}x")
 
     for name in only_base:
-        print(f"{name:<12} only in baseline ({base[name]['cells']} cells)")
+        print(f"{name:<12} only in baseline ({len(base[name])} cells)")
     for name in only_cur:
-        print(f"{name:<12} only in current ({cur[name]['cells']} cells)")
+        print(f"{name:<12} only in current ({len(cur[name])} cells)")
+    for name, cid, side in unmatched_cells:
+        print(f"{name + ':' + cid:<12} only in {side} (cell)")
 
     exit_code = 0
     total_ratio = 0.0
@@ -160,20 +167,20 @@ def main():
         except ValueError:
             sys.exit(f"--fail-cell-below: malformed spec '{spec}' "
                      f"(want CAMPAIGN:CELL=RATIO, e.g. perf:kernel/slab=0.6)")
-        bcell = base.get(campaign, {}).get("by_cell", {}).get(cell)
-        ccell = cur.get(campaign, {}).get("by_cell", {}).get(cell)
+        bcell = base.get(campaign, {}).get(cell)
+        ccell = cur.get(campaign, {}).get(cell)
         if bcell is None or ccell is None:
             which = "baseline" if bcell is None else "current"
             print(f"perf_diff: FAIL — --fail-cell-below cell {campaign}:{cell} "
                   f"missing from the {which} manifest", file=sys.stderr)
             exit_code = 1
             continue
-        if bcell["events_per_s"] <= 0 or total_ratio <= 0:
+        if bcell.get("events_per_s", 0.0) <= 0 or total_ratio <= 0:
             print(f"perf_diff: FAIL — --fail-cell-below cell {campaign}:{cell} "
                   f"has no baseline rate to compare against", file=sys.stderr)
             exit_code = 1
             continue
-        cell_ratio = ccell["events_per_s"] / bcell["events_per_s"]
+        cell_ratio = ccell.get("events_per_s", 0.0) / bcell["events_per_s"]
         normalized = cell_ratio / total_ratio
         if normalized < floor:
             print(f"perf_diff: FAIL — {campaign}:{cell} events/sec ratio "

@@ -110,15 +110,7 @@ bool MalbBalancer::RepackIfChanged() {
   if (PackingSignature(repacked) == packing_signature_) {
     return false;
   }
-  working_sets_ = std::move(fresh);
-  packing_ = std::move(repacked);
-  packing_signature_ = PackingSignature(packing_);
-  groups_.clear();
-  groups_.resize(packing_.groups.size());
-  for (size_t g = 0; g < packing_.groups.size(); ++g) {
-    groups_[g].packed = {g};
-  }
-  RebuildTypeMap();
+  BuildGroups(std::move(fresh), std::move(repacked));
   InitialAllocation();
   stable_ticks_ = 0;
   return true;
@@ -133,7 +125,10 @@ std::string MalbBalancer::name() const {
 }
 
 void MalbBalancer::Start() {
-  BuildGroups();
+  std::vector<TypeWorkingSet> working_sets =
+      BuildWorkingSets(*context_.registry, *context_.schema);
+  PackingResult packing = PackTransactionGroups(working_sets, capacity_pages_, config_.method);
+  BuildGroups(std::move(working_sets), std::move(packing));
   InitialAllocation();
   if (!config_.freeze_allocation) {
     context_.sim->SchedulePeriodic(context_.sim->Now() + config_.allocation_period,
@@ -143,9 +138,10 @@ void MalbBalancer::Start() {
   }
 }
 
-void MalbBalancer::BuildGroups() {
-  working_sets_ = BuildWorkingSets(*context_.registry, *context_.schema);
-  packing_ = PackTransactionGroups(working_sets_, capacity_pages_, config_.method);
+void MalbBalancer::BuildGroups(std::vector<TypeWorkingSet> working_sets,
+                               PackingResult packing) {
+  working_sets_ = std::move(working_sets);
+  packing_ = std::move(packing);
   packing_signature_ = PackingSignature(packing_);
   groups_.clear();
   groups_.resize(packing_.groups.size());

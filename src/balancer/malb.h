@@ -148,7 +148,9 @@ class MalbBalancer : public LoadBalancer {
   // and infeasible-move fallbacks); falls back to the smallest-need group
   // when the replica fits nothing.
   size_t ThinnestFeasibleGroup(size_t replica) const;
-  void BuildGroups();
+  // Installs a packing and resets the runtime groups to one per packed group
+  // (Start, and RepackIfChanged on a signature change).
+  void BuildGroups(std::vector<TypeWorkingSet> working_sets, PackingResult packing);
   void InitialAllocation();
   void AllocationTick();
   void RegroupTick();

@@ -24,8 +24,8 @@
 //   * the table -> bit rule is fixed, so masks built at any time, by any
 //     component, with no shared state, are comparable.
 //
-// Masks are probes, not sets: decoded bits must never feed a reported sink
-// (scripts/lint_determinism.py rule `mask-order`); iterate the RelationSet.
+// Masks are probes, not sets: an inexact mask omits its high-id tables, so
+// enumerate a RelationSet and only *test* mask bits.
 #ifndef SRC_STORAGE_TABLE_MASK_H_
 #define SRC_STORAGE_TABLE_MASK_H_
 
@@ -83,24 +83,6 @@ inline bool Intersects(const TableMask& a, const TableMask& b) {
     acc |= a.words[w] & b.words[w];
   }
   return acc != 0;
-}
-
-// Invokes fn(bit) for every set bit in ascending bit (= RelationId) order.
-// Debug/test helper only: an inexact mask omits its bitless tables, so
-// decoded bits must never reach a reported sink (lint rule `mask-order`
-// flags every call site).
-template <typename Fn>
-// lint: allow(mask-order) definition site; call sites carry their own pragmas
-void ForEachMaskBit(const TableMask& mask, Fn&& fn) {
-  for (size_t w = 0; w < TableMask::kWords; ++w) {
-    uint64_t bits = mask.words[w];
-    while (bits != 0) {
-      const uint32_t bit = static_cast<uint32_t>(w) * 64 +
-                           static_cast<uint32_t>(__builtin_ctzll(bits));
-      fn(bit);
-      bits &= bits - 1;
-    }
-  }
 }
 
 }  // namespace tashkent

@@ -161,6 +161,33 @@ class PerfDiffTest(unittest.TestCase):
         self.assertIn("kernel/slab", r.stderr)
         self.assertIn("FAIL", r.stderr)
 
+    def test_one_sided_cells_do_not_move_the_normalized_gate(self):
+        # kernel/slab halves while its sibling holds: over the two common
+        # cells the run-wide ratio is 0.67 and the normalized ratio 0.75,
+        # above the 0.7 floor. A slow cell that only the baseline ran (a cell
+        # deleted since the baseline was captured) must not enter the sums:
+        # summed in, it would drag the baseline rate down, inflate the
+        # run-wide ratio to ~4 and trip the gate at 0.13.
+        common_base = [("kernel/slab", 1.0, 8000, True), ("cell/storm", 1.0, 8000, True)]
+        cur = manifest({"perf": [("kernel/slab", 2.0, 8000, True),
+                                 ("cell/storm", 1.0, 8000, True),
+                                 ("cell/new", 1.0, 50, True)]})
+        cp = self.write("c.json", cur)
+        gate = ("--fail-cell-below", "perf:kernel/slab=0.7")
+        plain = self.diff(self.write("b.json", manifest({"perf": common_base})), cp, *gate)
+        extra = self.diff(
+            self.write("b_extra.json",
+                       manifest({"perf": common_base + [("cell/old", 10.0, 100, True)]})),
+            cp, *gate)
+        for r in (plain, extra):
+            self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+            self.assertIn("cell gate ok: perf:kernel/slab ratio 0.50 (0.75x run-wide",
+                          r.stdout)
+            self.assertIn("perf:cell/new only in current", r.stdout)
+            self.assertNotIn("executed events changed", r.stdout)
+        self.assertIn("perf:cell/old only in baseline", extra.stdout)
+        self.assertNotIn("perf:cell/old", plain.stdout)
+
     def test_fail_cell_below_missing_cell_fails_hard(self):
         # A gate whose cell vanished must fail, not silently skip.
         base = manifest({"perf": [("kernel/slab", 1.0, 8000, True)]})

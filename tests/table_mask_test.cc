@@ -6,8 +6,6 @@
 // a false negative on the ones it cannot.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "src/common/rng.h"
 #include "src/gsi/writeset.h"
 #include "src/storage/relation_set.h"
@@ -87,17 +85,6 @@ TEST(TableMask, WritesetBuildMaskMatchesTablePages) {
 
   ws.table_pages.push_back({TableMask::kBits + 7, 1});
   EXPECT_FALSE(ws.BuildMask().exact);
-}
-
-TEST(TableMask, ForEachMaskBitVisitsAscendingBits) {
-  TableMask m;
-  m.Set(5);
-  m.Set(64);
-  m.Set(250);
-  std::vector<uint32_t> seen;
-  // lint: allow(mask-order) asserting the decode order itself, not feeding a sink
-  ForEachMaskBit(m, [&seen](uint32_t bit) { seen.push_back(bit); });
-  EXPECT_EQ(seen, (std::vector<uint32_t>{5, 64, 250}));
 }
 
 // The equivalence contract, brute-forced: over random table universes
